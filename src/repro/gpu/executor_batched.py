@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.errors import BarrierDivergenceError, SimulationError
 from repro.gpu import kernelir as K
+from repro.gpu.affine import _walk_expr, lane_affine_stmts
 from repro.gpu.device import DeviceProperties
 from repro.gpu.events import KernelStats, TraceEvent
 from repro.gpu.executor import (
@@ -46,7 +47,7 @@ from repro.gpu.executor import (
     _watchdog_trip, _stmt_slots,
 )
 from repro.gpu.memory import (
-    BatchedSharedMemory, GlobalMemory, finalize_segment_reuse,
+    BatchedSharedMemory, GlobalMemory, finalize_segment_reuse, warp_runs,
 )
 
 __all__ = ["BatchedBlockEnv", "run_batched", "DEFAULT_BLOCK_BATCH",
@@ -109,27 +110,6 @@ class BatchSafety:
         self.checked_bufs = tuple(checked_bufs)
         self.looped_atomic_bufs = tuple(looped_atomic_bufs)
         self.written_bufs = tuple(written_bufs)
-
-
-def _walk_expr(e, regs, specials):
-    """Collect register names and thread-geometry specials of ``e``."""
-    if isinstance(e, K.Reg):
-        regs.add(e.name)
-    elif isinstance(e, K.Special):
-        specials.add(e.kind)
-    elif isinstance(e, K.Bin):
-        _walk_expr(e.a, regs, specials)
-        _walk_expr(e.b, regs, specials)
-    elif isinstance(e, (K.Un, K.Cast)):
-        _walk_expr(e.a, regs, specials)
-    elif isinstance(e, K.Call):
-        for a in e.args:
-            _walk_expr(a, regs, specials)
-    elif isinstance(e, K.Select):
-        _walk_expr(e.cond, regs, specials)
-        _walk_expr(e.a, regs, specials)
-        _walk_expr(e.b, regs, specials)
-    # Const / Param carry no registers
 
 
 def analyze_batch_safety(kernel) -> BatchSafety:
@@ -231,7 +211,8 @@ class BatchedBlockEnv:
         "warp_starts", "nwarps", "warpkey", "block_of", "rows", "block_ids",
         "gmem", "smem", "stats", "params", "block_mask", "trace",
         "block_index", "seg_cache", "kernel_name", "steps",
-        "watchdog_budget", "stuck", "check", "attr",
+        "watchdog_budget", "stuck", "check", "attr", "warp_size",
+        "affine_ok",
     )
 
     def __init__(self, bdx: int, bdy: int, gdx: int, block_ids: np.ndarray,
@@ -251,6 +232,10 @@ class BatchedBlockEnv:
         warp_of = (tid // warp_size).astype(np.int64)
         self.warp_starts = np.arange(0, n, warp_size)
         self.nwarps = len(self.warp_starts)
+        self.warp_size = warp_size
+        #: lane-affine verdicts hold: lane l of a warp has tx = x0 + l
+        #: and a warp-uniform ty (see repro.gpu.affine)
+        self.affine_ok = bdx % warp_size == 0
         # block-qualified warp ids: distinct across the chunk's blocks so
         # (warp, segment) request keys never merge between blocks
         self.warpkey = (np.arange(nb, dtype=np.int64)[:, None]
@@ -285,66 +270,24 @@ def _warps_per_block(env: BatchedBlockEnv, mask: np.ndarray) -> np.ndarray:
     return t.sum(axis=1)
 
 
-#: thread-geometry specials that vary across the lanes of one block
-_LANE_SPECIALS = frozenset({"tx", "ty", "tid"})
+def _stride_fn(aff):
+    """``fn(env) -> int`` evaluating a lane-affine verdict's stride for
+    the running launch (None for a varying access)."""
+    if aff is None:
+        return None
+    c = aff.stride
+    if isinstance(c, int):
+        return lambda env: c
+    fc = _compile_expr(c)
+    return lambda env: int(fc(env))
 
 
-def _lane_uniform_stmts(kernel) -> frozenset:
-    """ids of GLoad/GStore statements with a per-block-uniform index.
-
-    A register is *row-uniform* when every assignment to it is (a) of a
-    row-uniform expression and (b) not under lane-divergent control —
-    then all lanes of a block always hold the same value.  An index
-    built only from row-uniform registers, ``blockIdx``-derived
-    specials, params, and constants names one location per block
-    (broadcast reads like ``temp[k][0][0]``, per-block result stores),
-    so the runtime hazard check and the transaction dedup can run on one
-    representative per block instead of every lane.  Divergence of a
-    loop is judged from its condition; the fixed point makes values
-    flowing around back-edges converge.
-    """
-    varying: set[str] = set()
-
-    def is_varying(e) -> bool:
-        regs, specs = set(), set()
-        _walk_expr(e, regs, specs)
-        return bool(specs & _LANE_SPECIALS) or bool(regs & varying)
-
-    def visit(stmts, div):
-        for s in stmts:
-            if isinstance(s, K.Assign):
-                if div or is_varying(s.value):
-                    varying.add(s.dst)
-            elif isinstance(s, (K.GLoad, K.SLoad, K.ShflDown)):
-                varying.add(s.dst)
-            elif isinstance(s, K.If):
-                d = div or is_varying(s.cond)
-                visit(s.then, d)
-                visit(s.orelse, d)
-            elif isinstance(s, (K.While, K.UniformWhile)):
-                visit(s.body, div or is_varying(s.cond))
-
-    while True:
-        before = len(varying)
-        visit(kernel.body, False)
-        if len(varying) == before:
-            break
-
-    out: set[int] = set()
-
-    def collect(stmts):
-        for s in stmts:
-            if isinstance(s, (K.GLoad, K.GStore)) \
-                    and not is_varying(s.index):
-                out.add(id(s))
-            elif isinstance(s, K.If):
-                collect(s.then)
-                collect(s.orelse)
-            elif isinstance(s, (K.While, K.UniformWhile)):
-                collect(s.body)
-
-    collect(kernel.body)
-    return frozenset(out)
+def _runs(env: BatchedBlockEnv, fs, idx: np.ndarray, mask: np.ndarray):
+    """:class:`~repro.gpu.memory.WarpRuns` of a lane-affine access on
+    this launch, or None when it takes the enumerated per-lane path."""
+    if fs is None or not env.affine_ok:
+        return None
+    return warp_runs(idx, mask, env.block_ids, env.warp_size, fs(env))
 
 
 def _compact_env(env: BatchedBlockEnv, idx: np.ndarray) -> BatchedBlockEnv:
@@ -363,6 +306,7 @@ def _compact_env(env: BatchedBlockEnv, idx: np.ndarray) -> BatchedBlockEnv:
     sub.tid, sub.tx, sub.ty = env.tid, env.tx, env.ty
     sub.bdx, sub.bdy, sub.gdx, sub.ntid = env.bdx, env.bdy, env.gdx, env.ntid
     sub.warp_starts, sub.nwarps = env.warp_starts, env.nwarps
+    sub.warp_size, sub.affine_ok = env.warp_size, env.affine_ok
     sub.bx = env.bx[idx]
     sub.warpkey = env.warpkey[idx]
     sub.block_of = env.block_of[idx]
@@ -411,7 +355,7 @@ def _expand_env(env: BatchedBlockEnv, sub: BatchedBlockEnv,
 # --------------------------------------------------------------------------
 
 def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
-                          uniform_ids: frozenset = frozenset(),
+                          affine: dict | None = None,
                           slot_sids: dict | None = None):
     """Compile one statement to ``fn(env, mask, aw, aws)`` over a chunk.
 
@@ -419,10 +363,11 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
     active-warp vector of the enclosing region (0 for blocks that the
     reference executor would not run the statement for) and ``aws`` its
     precomputed total — the region runner sums ``aw`` once so straight-
-    line statements don't each pay the reduction.  ``uniform_ids`` holds
-    the :func:`_lane_uniform_stmts` verdicts; ``slot_sids`` maps each
-    global access's segment-reuse slot back to its stamped ``sid`` (for
-    the launch-end reuse correction's per-statement attribution).
+    line statements don't each pay the reduction.  ``affine`` holds
+    the :func:`~repro.gpu.affine.lane_affine_stmts` verdicts;
+    ``slot_sids`` maps each global access's segment-reuse slot back to
+    its stamped ``sid`` (for the launch-end reuse correction's
+    per-statement attribution).
 
     Attribution parity with the reference executor: ``execs`` counts
     blocks with at least one active lane (the reference closure runs
@@ -432,6 +377,8 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
     totals because the accounting calls are shared.
     """
     sid = s.sid
+    if affine is None:
+        affine = {}
     if isinstance(s, K.Comment):
         return lambda env, mask, aw, aws: None
 
@@ -451,7 +398,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
     if isinstance(s, K.GLoad):
         fi = _compile_expr(s.index)
         name, buf = s.dst, s.buf
-        uni = id(s) in uniform_ids
+        fs = _stride_fn(affine.get(id(s)))
         slot = next(_stmt_slots)
         if slot_sids is not None:
             slot_sids[slot] = sid
@@ -467,16 +414,8 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
             idx = np.asarray(fi(env))
             if idx.shape != mask.shape:
                 idx = np.broadcast_to(idx, mask.shape)
-            act = blk = reps = None
-            if uni:
-                # statically per-block-uniform index: one representative
-                # (the first active lane) stands in for every lane of its
-                # block, both for the hazard check and for transaction
-                # counting (the block touches exactly one segment)
-                rows = np.flatnonzero(mask.any(axis=1))
-                rep = idx[rows, mask.argmax(axis=1)[rows]]
-                rblk = env.block_ids[rows]
-                reps = (rep, rblk)
+            act = blk = None
+            runs = _runs(env, fs, idx, mask)
             if env.check is not None and (state := env.check.get(buf)) \
                     is not None:
                 # reading a location a *later* block wrote breaks the
@@ -493,7 +432,11 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                 # Out-of-range indices are clamped here; the load itself
                 # raises the real OutOfBoundsError just below.
                 owners, maxread = state
-                if not uni:
+                if runs is not None and runs.stride == 0:
+                    # one index per warp: its first active lane stands
+                    # in for every lane of the warp
+                    rep, rblk = runs.rep, runs.rblk
+                else:
                     act = idx[mask]
                     blk = np.repeat(env.block_ids,
                                     np.count_nonzero(mask, axis=1))
@@ -510,7 +453,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
             out = env.gmem.load_batched(
                 buf, idx, mask, env.warpkey, env.block_of, env.block_ids,
                 env.stats, reuse=(env.seg_cache, slot), act=act,
-                act_block=blk, reps=reps)
+                act_block=blk, runs=runs)
             if a is not None:
                 r = a.row(sid)
                 r.execs += int(mask.any(axis=1).sum())
@@ -529,7 +472,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
     if isinstance(s, K.GStore):
         fi, fv = _compile_expr(s.index), _compile_expr(s.value)
         buf = s.buf
-        uni = id(s) in uniform_ids
+        fs = _stride_fn(affine.get(id(s)))
         slot = next(_stmt_slots)
         if slot_sids is not None:
             slot_sids[slot] = sid
@@ -546,12 +489,8 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
             val = np.asarray(fv(env))
             if val.shape != mask.shape:
                 val = np.broadcast_to(val, mask.shape)
-            act = blk = reps = None
-            if uni:
-                rows = np.flatnonzero(mask.any(axis=1))
-                rep = idx[rows, mask.argmax(axis=1)[rows]]
-                rblk = env.block_ids[rows]
-                reps = (rep, rblk)
+            act = blk = None
+            runs = _runs(env, fs, idx, mask)
             if env.check is not None and (state := env.check.get(buf)) \
                     is not None:
                 # claim locations for the writing block.  Hazards: the
@@ -561,7 +500,9 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                 # collisions need no flag: the highest block wins in both
                 # executors.
                 owners, maxread = state
-                if not uni:
+                if runs is not None and runs.stride == 0:
+                    rep, rblk = runs.rep, runs.rblk
+                else:
                     act = idx[mask]
                     blk = np.repeat(env.block_ids,
                                     np.count_nonzero(mask, axis=1))
@@ -576,7 +517,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
             env.gmem.store_batched(
                 buf, idx, val, mask, env.warpkey, env.block_of, env.stats,
                 reuse=(env.seg_cache, slot), act=act, act_block=blk,
-                reps=reps)
+                runs=runs)
             if a is not None:
                 r = a.row(sid)
                 r.execs += int(mask.any(axis=1).sum())
@@ -592,6 +533,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
     if isinstance(s, K.SLoad):
         fi = _compile_expr(s.index)
         name, arr = s.dst, s.arr
+        fs = _stride_fn(affine.get(id(s)))
         def do_sload(env, mask, aw, aws):
             env.stats.warp_inst_slots += aws
             idx = np.asarray(fi(env))
@@ -603,7 +545,8 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                 s0, c0 = st.shared_accesses, st.bank_conflict_extra
                 fr = env.smem.faults
                 f0 = len(fr.records) if fr is not None else 0
-            out = env.smem.load(arr, idx, mask, env.warpkey, env.rows)
+            out = env.smem.load(arr, idx, mask, env.warpkey, env.rows,
+                                _runs(env, fs, idx, mask))
             if a is not None:
                 r = a.row(sid)
                 r.execs += int(mask.any(axis=1).sum())
@@ -619,6 +562,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
     if isinstance(s, K.SStore):
         fi, fv = _compile_expr(s.index), _compile_expr(s.value)
         arr = s.arr
+        fs = _stride_fn(affine.get(id(s)))
         def do_sstore(env, mask, aw, aws):
             env.stats.warp_inst_slots += aws
             idx = np.asarray(fi(env))
@@ -631,7 +575,8 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
             if a is not None:
                 st = env.stats
                 s0, c0 = st.shared_accesses, st.bank_conflict_extra
-            env.smem.store(arr, idx, val, mask, env.warpkey, env.rows)
+            env.smem.store(arr, idx, val, mask, env.warpkey, env.rows,
+                           _runs(env, fs, idx, mask))
             if a is not None:
                 r = a.row(sid)
                 r.execs += int(mask.any(axis=1).sum())
@@ -643,9 +588,9 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
 
     if isinstance(s, K.If):
         fc = _compile_expr(s.cond)
-        fthen = _compile_block_batched(s.then, device, uniform_ids,
+        fthen = _compile_block_batched(s.then, device, affine,
                                        slot_sids)
-        felse = _compile_block_batched(s.orelse, device, uniform_ids,
+        felse = _compile_block_batched(s.orelse, device, affine,
                                        slot_sids) if s.orelse else None
         def do_if(env, mask, aw, aws):
             env.stats.warp_inst_slots += aws
@@ -672,7 +617,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
 
     if isinstance(s, K.While):
         fc = _compile_expr(s.cond)
-        fbody = _compile_block_batched(s.body, device, uniform_ids,
+        fbody = _compile_block_batched(s.body, device, affine,
                                        slot_sids)
         def do_while(env, mask, aw, aws):
             c = _truthy(np.asarray(fc(env)))
@@ -726,7 +671,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
 
     if isinstance(s, K.UniformWhile):
         fc = _compile_expr(s.cond)
-        fbody = _compile_block_batched(s.body, device, uniform_ids,
+        fbody = _compile_block_batched(s.body, device, affine,
                                        slot_sids)
         def do_uwhile(env, mask, aw, aws):
             env.stats.warp_inst_slots += aws
@@ -859,9 +804,9 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
 
 
 def _compile_block_batched(stmts: tuple, device: DeviceProperties,
-                           uniform_ids: frozenset = frozenset(),
+                           affine: dict | None = None,
                            slot_sids: dict | None = None):
-    fns = [_compile_stmt_batched(s, device, uniform_ids, slot_sids)
+    fns = [_compile_stmt_batched(s, device, affine, slot_sids)
            for s in stmts]
     def run(env, mask, aw, aws=None):
         if aws is None:
@@ -895,7 +840,7 @@ def run_batched(ck, gmem: GlobalMemory, grid_dim: int,
     body = ck._batched_body
     if body is None:
         body = ck._batched_body = _compile_block_batched(
-            ck.kernel.body, ck.device, _lane_uniform_stmts(ck.kernel),
+            ck.kernel.body, ck.device, lane_affine_stmts(ck.kernel),
             ck._slot_sids)
     seg_cache: dict = {}
     steps = 0

@@ -51,13 +51,14 @@ from repro.gpu.device import DeviceProperties
 from repro.gpu.executor import (
     _BINOPS, _CALLS, _c_div, _c_mod, _truthy,
 )
+from repro.gpu.affine import lane_affine_stmts
 from repro.gpu.executor_batched import (
     DEFAULT_BLOCK_BATCH, BatchedBlockEnv, _BatchHazard, _compact_env,
-    _expand_env, _lane_uniform_stmts, _walk_expr, _warps_per_block,
-    _watchdog_trip, analyze_batch_safety,
+    _expand_env, _warps_per_block, _watchdog_trip, analyze_batch_safety,
 )
 from repro.gpu.memory import (
-    BatchedSharedMemory, GlobalMemory, finalize_segment_reuse,
+    BatchedSharedMemory, GlobalMemory, WarpRuns, finalize_segment_reuse,
+    warp_runs,
 )
 from repro.gpu.events import KernelStats
 
@@ -159,69 +160,9 @@ def analyze_trace_safety(kernel: K.Kernel) -> TraceSafety:
 
 #: thread-geometry specials that vary across the lanes of one *warp*
 #: (``ty`` is constant within a warp whenever ``blockDim.x`` is a
-#: multiple of the warp size — the runtime guard the emitter adds)
+#: multiple of the warp size — the runtime guard the emitter adds);
+#: a warp-representative expression must not contain them
 _WARP_VARYING_SPECIALS = frozenset({"tx", "tid"})
-
-
-def _warp_uniform_stmts(kernel) -> frozenset:
-    """ids of GLoads with a per-warp-uniform index in warp-uniform control.
-
-    The warp-level sibling of
-    :func:`~repro.gpu.executor_batched._lane_uniform_stmts`: a register
-    is warp-uniform when every assignment to it is of a warp-uniform
-    expression and not under warp-divergent control, so all lanes of a
-    warp always hold the same value.  Unlike the block-level verdict the
-    collection also requires warp-uniform *control* around the load —
-    the representative helper runs on partial region masks too, and
-    warp-uniform control is what makes every such mask constant within
-    each warp (whole warps on or off).  Both halves of the verdict
-    assume ``ty`` is warp-uniform, which holds exactly when
-    ``blockDim.x % warp_size == 0``; the generated code guards on that
-    at runtime and falls back to the per-lane helper.
-    """
-    varying: set[str] = set()
-
-    def is_varying(e) -> bool:
-        regs, specs = set(), set()
-        _walk_expr(e, regs, specs)
-        return bool(specs & _WARP_VARYING_SPECIALS) or bool(regs & varying)
-
-    def visit(stmts, div):
-        for s in stmts:
-            if isinstance(s, K.Assign):
-                if div or is_varying(s.value):
-                    varying.add(s.dst)
-            elif isinstance(s, (K.GLoad, K.SLoad, K.ShflDown)):
-                varying.add(s.dst)
-            elif isinstance(s, K.If):
-                d = div or is_varying(s.cond)
-                visit(s.then, d)
-                visit(s.orelse, d)
-            elif isinstance(s, (K.While, K.UniformWhile)):
-                visit(s.body, div or is_varying(s.cond))
-
-    while True:
-        before = len(varying)
-        visit(kernel.body, False)
-        if len(varying) == before:
-            break
-
-    out: set[int] = set()
-
-    def collect(stmts, div):
-        for s in stmts:
-            if isinstance(s, K.GLoad) and not div \
-                    and not is_varying(s.index):
-                out.add(id(s))
-            elif isinstance(s, K.If):
-                d = div or is_varying(s.cond)
-                collect(s.then, d)
-                collect(s.orelse, d)
-            elif isinstance(s, (K.While, K.UniformWhile)):
-                collect(s.body, div or is_varying(s.cond))
-
-    collect(kernel.body, False)
-    return frozenset(out)
 
 
 # --------------------------------------------------------------------------
@@ -303,27 +244,53 @@ def _act_of(idx: np.ndarray, m: np.ndarray, mi) -> np.ndarray:
     return idx[m]
 
 
-def _gload(E, name, buf, idx, m, mi, wk, bf, slot, check) -> None:
+def _lanes(a: np.ndarray, mi) -> np.ndarray:
+    """Active-lane gather of a chunk-shaped per-lane constant array."""
+    a = a.reshape(-1)
+    return a if mi is None else a.take(mi)
+
+
+def _runs_of(E, idx, m, mi, st):
+    """Warp runs of a lane-affine access (``st`` is its stride, None
+    when the access is varying or the launch fails the layout guard)."""
+    if st is None:
+        return None
+    return warp_runs(idx, m, E.block_ids, E.warp_size, st, full=mi is None)
+
+
+def _gload(E, name, buf, idx, m, mi, wk, bf, slot, check, st) -> None:
     """Global load for one region; mirrors the batched ``do_gload`` /
     ``GlobalMemory.load_batched`` pair (bounds, hazard check, gather,
-    transaction accounting) with the region gathers precomputed."""
+    transaction accounting) with the region gathers precomputed.  ``wk``
+    and ``bf`` may be None when the region's accesses are all
+    lane-affine; the enumerated fallback then gathers them itself."""
     gm = E.gmem
     shp = m.shape
     idx = np.asarray(idx)
     if idx.shape != shp:
         idx = np.broadcast_to(idx, shp)
     act = idx.reshape(-1) if mi is None else _act_of(idx, m, mi)
+    runs = _runs_of(E, idx, m, mi, st)
+    uniform = runs is not None and runs.stride == 0
+    if bf is None and not uniform:
+        bf = _lanes(E.block_of, mi)
     if check is not None:
         owners, maxread = check
-        ci = np.minimum(act, owners.size - 1)
+        # a uniform index: each warp's first active lane stands in for it
+        rep, rb = (runs.rep, runs.rblk) if uniform else (act, bf)
+        ci = np.minimum(rep, owners.size - 1)
         own = owners[ci]
-        if ((own != -1) & (own > bf)).any():
+        if ((own != -1) & (own > rb)).any():
             raise _BatchHazard(buf.name)
-        maxread[ci] = np.maximum(bf, maxread[ci])
-    gm._check_bounds(buf, act)
+        maxread[ci] = np.maximum(rb, maxread[ci])
+    if not gm._check_bounds(buf, act, runs):
+        runs = None
     vals = buf.data[act]
+    if runs is None:
+        wk = _lanes(E.warpkey, mi) if wk is None else wk
+        bf = _lanes(E.block_of, mi) if bf is None else bf
     gm._count_transactions_batched(buf, act, wk, bf, E.stats,
-                                   reuse=(E.seg_cache, slot))
+                                   reuse=(E.seg_cache, slot), runs=runs)
     if mi is None:
         E.regs[name] = vals.reshape(shp)
     else:
@@ -337,59 +304,19 @@ def _gload(E, name, buf, idx, m, mi, wk, bf, slot, check) -> None:
         reg.reshape(-1)[mi] = vals
 
 
-def _gload_u(E, name, buf, idx, m, mi, wk, bf, slot, check) -> None:
-    """Per-block-uniform global load (static lane-uniformity verdict).
-
-    With a full region mask, one representative per block stands in for
-    every lane — no per-lane index materialization at all.  Counter
-    parity with the generic path is exact: a uniform index gives one
-    segment per warp and one tagged segment per block either way (the
-    batched executor's ``reps`` fast path makes the same argument).  The
-    ``m`` array is passed to the transaction counter as ``act_idx``
-    because with a full mask the active-lane count *is* ``m.size`` — the
-    reps path only reads ``act_idx.size``.
-    """
-    if mi is not None:
-        _gload(E, name, buf, idx, m, mi, wk, bf, slot, check)
-        return
-    gm = E.gmem
-    shp = m.shape
-    idxb = np.asarray(idx)
-    if idxb.shape != shp:
-        idxb = np.broadcast_to(idxb, shp)
-    rep = idxb[:, 0]
-    rblk = E.block_ids
-    if check is not None:
-        owners, maxread = check
-        ci = np.minimum(rep, owners.size - 1)
-        own = owners[ci]
-        if ((own != -1) & (own > rblk)).any():
-            raise _BatchHazard(buf.name)
-        maxread[ci] = np.maximum(rblk, maxread[ci])
-    gm._check_bounds(buf, rep)
-    v = buf.data[rep]
-    gm._count_transactions_batched(buf, m, wk, None, E.stats,
-                                   reuse=(E.seg_cache, slot),
-                                   reps=(rep, rblk))
-    out = np.empty(shp, dtype=v.dtype)
-    out[...] = v[:, None]
-    E.regs[name] = out
-
-
 def _gload_w(E, name, buf, idxw, m, full, slot, check, ws) -> None:
     """Per-warp-uniform global load (static verdict + runtime guard).
 
     ``idxw`` was evaluated on warp-representative slices — one column
     per warp — so no per-lane index array is ever materialized.  Only
-    reached when ``blockDim.x % warp_size == 0`` and the static
-    :func:`_warp_uniform_stmts` verdict holds: each warp's lanes share
-    one index value and the region mask is constant within each warp,
-    so active warps (and their first lanes) stand in for active lanes.
-    Counter parity with the per-lane path is exact — one segment per
-    active warp makes ``requests`` the active-warp count, the per-block
-    dedup collapses to the representatives, and the byte count uses the
-    true lane count (active warps x warp width); the hazard check and
-    the bounds check see the same index values in the same order.
+    reached when ``blockDim.x % warp_size == 0`` and the static verdict
+    is stride 0 under warp-uniform control
+    (:func:`~repro.gpu.affine.lane_affine_stmts`): each warp's lanes
+    share one index value and the region mask is constant within each
+    warp, so active warps (and their first lanes) stand in for active
+    lanes — the stride-0 case of the closed-form accounting, with whole
+    warps as runs; the hazard check and the bounds check see the same
+    index values in the same order as the per-lane path.
     """
     gm = E.gmem
     shp = m.shape
@@ -403,13 +330,11 @@ def _gload_w(E, name, buf, idxw, m, full, slot, check, ws) -> None:
     if full:
         rep = idxw.reshape(-1)
         rblk = np.repeat(E.block_ids, nw)
-        lanes = m.size
         miw = None
     else:
         miw = np.flatnonzero(np.ascontiguousarray(m[:, ::ws]).reshape(-1))
         rep = idxw.reshape(-1).take(miw)
         rblk = E.block_ids[miw // nw]
-        lanes = miw.size * ws
     if check is not None:
         owners, maxread = check
         ci = np.minimum(rep, owners.size - 1)
@@ -419,9 +344,9 @@ def _gload_w(E, name, buf, idxw, m, full, slot, check, ws) -> None:
         maxread[ci] = np.maximum(rblk, maxread[ci])
     gm._check_bounds(buf, rep)
     vals = buf.data[rep]
-    gm._count_transactions_batched(buf, rep, None, None, E.stats,
+    gm._count_transactions_batched(buf, None, None, None, E.stats,
                                    reuse=(E.seg_cache, slot),
-                                   wreps=(rblk, lanes))
+                                   runs=WarpRuns(rep, rblk, ws, 0))
     if miw is None:
         out = np.empty(shp, dtype=vals.dtype)
         out.reshape(nb, nw, ws)[...] = vals.reshape(nb, nw)[:, :, None]
@@ -437,7 +362,7 @@ def _gload_w(E, name, buf, idxw, m, full, slot, check, ws) -> None:
         reg.reshape(nb * nw, ws)[miw] = vals[:, None]
 
 
-def _gstore(E, buf, idx, val, m, mi, wk, bf, slot, check) -> None:
+def _gstore(E, buf, idx, val, m, mi, wk, bf, slot, check, st) -> None:
     """Global store for one region; mirrors ``do_gstore`` /
     ``store_batched`` (cast-then-gather value order, hazard claim before
     bounds, duplicate indices resolve in flattened lane order)."""
@@ -447,23 +372,33 @@ def _gstore(E, buf, idx, val, m, mi, wk, bf, slot, check) -> None:
     if idx.shape != shp:
         idx = np.broadcast_to(idx, shp)
     act = idx.reshape(-1) if mi is None else _act_of(idx, m, mi)
+    runs = _runs_of(E, idx, m, mi, st)
+    uniform = runs is not None and runs.stride == 0
+    if bf is None and not uniform:
+        bf = _lanes(E.block_of, mi)
     if check is not None:
         owners, maxread = check
-        ci = np.minimum(act, owners.size - 1)
+        # a uniform index: each warp's first active lane stands in for it
+        rep, rb = (runs.rep, runs.rblk) if uniform else (act, bf)
+        ci = np.minimum(rep, owners.size - 1)
         own = owners[ci]
-        if ((own != -1) & (own != bf)).any():
+        if ((own != -1) & (own != rb)).any():
             raise _BatchHazard(buf.name)
-        if (maxread[ci] > bf).any():
+        if (maxread[ci] > rb).any():
             raise _BatchHazard(buf.name)
-        owners[ci] = bf
-    gm._check_bounds(buf, act)
+        owners[ci] = rb
+    if not gm._check_bounds(buf, act, runs):
+        runs = None
     sv = np.asarray(val)
     if sv.shape != shp:
         sv = np.broadcast_to(sv, shp)
     sv = np.asarray(sv, dtype=buf.dtype.np)
     buf.data[act] = sv.reshape(-1) if mi is None else _act_of(sv, m, mi)
+    if runs is None:
+        wk = _lanes(E.warpkey, mi) if wk is None else wk
+        bf = _lanes(E.block_of, mi) if bf is None else bf
     gm._count_transactions_batched(buf, act, wk, bf, E.stats,
-                                   reuse=(E.seg_cache, slot))
+                                   reuse=(E.seg_cache, slot), runs=runs)
 
 
 def _sbounds(name: str, size: int, act: np.ndarray) -> None:
@@ -476,7 +411,18 @@ def _sbounds(name: str, size: int, act: np.ndarray) -> None:
         )
 
 
-def _sload(E, name, arr, idx, m, mi, wk, rw) -> None:
+def _sbanks(E, arr, size, idx, act, m, mi, wk, st) -> None:
+    """Bank accounting of one shared access (closed form when it is
+    lane-affine and its index arithmetic did not wrap)."""
+    runs = _runs_of(E, idx, m, mi, st)
+    if runs is not None and not runs.within(size):
+        runs = None
+    if runs is None and wk is None:
+        wk = _lanes(E.warpkey, mi)
+    E.smem._count_banks(arr, act, wk, runs)
+
+
+def _sload(E, name, arr, idx, m, mi, wk, rw, st) -> None:
     """Shared load; mirrors ``BatchedSharedMemory.load`` with the region
     gathers precomputed (bank accounting shared)."""
     sm = E.smem
@@ -488,7 +434,7 @@ def _sload(E, name, arr, idx, m, mi, wk, rw) -> None:
     act = idx.reshape(-1) if mi is None else _act_of(idx, m, mi)
     _sbounds(arr, a.shape[1], act)
     vals = a[rw, act]
-    sm._count_banks(arr, act, wk)
+    _sbanks(E, arr, a.shape[1], idx, act, m, mi, wk, st)
     if mi is None:
         E.regs[name] = vals.reshape(shp)
     else:
@@ -502,7 +448,7 @@ def _sload(E, name, arr, idx, m, mi, wk, rw) -> None:
         reg.reshape(-1)[mi] = vals
 
 
-def _sstore(E, arr, idx, val, m, mi, wk, rw) -> None:
+def _sstore(E, arr, idx, val, m, mi, wk, rw, st) -> None:
     sm = E.smem
     shp = m.shape
     a = sm._arrays[arr]
@@ -516,7 +462,7 @@ def _sstore(E, arr, idx, val, m, mi, wk, rw) -> None:
         sv = np.broadcast_to(sv, shp)
     sv = np.asarray(sv, dtype=a.dtype)
     a[rw, act] = sv.reshape(-1) if mi is None else _act_of(sv, m, mi)
-    sm._count_banks(arr, act, wk)
+    _sbanks(E, arr, a.shape[1], idx, act, m, mi, wk, st)
 
 
 def _shfl(E, dst, src, delta, ws, m, full) -> None:
@@ -580,7 +526,7 @@ _BASE_GLOBALS = {
     "DT_b": np.dtype(np.bool_),
     "_bc": _bc, "_fresh": _fresh, "_full": _full, "_massign": _massign,
     "_cast": _cast, "_param": _param, "_attr_global": _attr_global,
-    "_gload": _gload, "_gload_u": _gload_u, "_gload_w": _gload_w,
+    "_gload": _gload, "_gload_w": _gload_w,
     "_gstore": _gstore,
     "_sload": _sload, "_sstore": _sstore, "_shfl": _shfl, "_sync": _sync,
     "_flat": np.flatnonzero,
@@ -636,8 +582,10 @@ class _Region:
     generated source.  ``f`` is the runtime full-mask flag expression
     (``"True"`` at top level), ``aw``/``aws`` the active-warp vector and
     total of the region, ``mi``/``wk``/``bf``/``rw`` the lazily-emitted
-    active-lane gathers, ``eb``/``el`` the attribution block/lane counts
-    (defined only under an ``A is not None`` guard)."""
+    active-lane gathers (``wk``/``bf`` are the literal ``"None"`` when
+    every memory access of the region is lane-affine), ``eb``/``el`` the
+    attribution block/lane counts (defined only under an
+    ``A is not None`` guard)."""
 
     __slots__ = ("m", "f", "aw", "aws", "mi", "wk", "bf", "rw", "eb", "el")
 
@@ -651,8 +599,9 @@ class _Emitter:
     def __init__(self, kernel: K.Kernel, device: DeviceProperties):
         self.kernel = kernel
         self.device = device
-        self.uniform_ids = _lane_uniform_stmts(kernel)
-        self.warp_ids = _warp_uniform_stmts(kernel)
+        self.affine = lane_affine_stmts(kernel)
+        #: lane stride (int or launch-uniform Expr) -> generated name
+        self.strides: dict = {}
         self.used_wok = False
         self.lines: list[str] = []
         self.ind = 1
@@ -681,8 +630,8 @@ class _Emitter:
 
     def expr(self, e: K.Expr, rep: bool = False) -> str:
         """One expression; ``rep=True`` evaluates on warp-representative
-        slices (one column per warp) — only valid for expressions the
-        warp-uniformity verdict covers."""
+        slices (one column per warp) — only valid for indices with a
+        stride-0 lane-affine verdict under warp-uniform control."""
         if isinstance(e, K.Const):
             ctor = _CONST_CTORS[e.dtype.np]
             if e.dtype.np.kind == "f":
@@ -744,15 +693,24 @@ class _Emitter:
         # warp-representative path, the per-lane gathers are dead weight
         # on the WOK path — emit them only for the fallback layout
         wonly = need_g and not need_s and all(
-            isinstance(s, K.GLoad) and id(s) in self.warp_ids
+            self.warp_rep(s)
             for s in stmts if isinstance(s, (K.GLoad, K.GStore)))
+        # warp keys and lane blocks only feed the enumerated accounting:
+        # lane-affine accesses gather them lazily when they fall back
+        varying = [s for s in stmts
+                   if isinstance(s, (K.GLoad, K.GStore, K.SLoad, K.SStore))
+                   and id(s) not in self.affine]
         if need_g or need_s:
             u = self.fresh()
-            r.mi, r.wk = f"mi{u}", f"wk{u}"
-            gather_full = [f"{r.mi} = None", f"{r.wk} = WKr"]
-            gather_part = [f"{r.mi} = _flat({r.m}.reshape(-1))",
-                           f"{r.wk} = WKr.take({r.mi})"]
-            if need_g:
+            r.mi = f"mi{u}"
+            gather_full = [f"{r.mi} = None"]
+            gather_part = [f"{r.mi} = _flat({r.m}.reshape(-1))"]
+            r.wk = r.bf = "None"
+            if varying:
+                r.wk = f"wk{u}"
+                gather_full.append(f"{r.wk} = WKr")
+                gather_part.append(f"{r.wk} = WKr.take({r.mi})")
+            if any(isinstance(s, (K.GLoad, K.GStore)) for s in varying):
                 r.bf = f"bf{u}"
                 gather_full.append(f"{r.bf} = BFr")
                 gather_part.append(f"{r.bf} = BFr.take({r.mi})")
@@ -795,6 +753,26 @@ class _Emitter:
                        f"{r.el} = int({r.m}.sum())")
                 self.ind -= 1
             self.ind -= 1
+
+    def warp_rep(self, s) -> bool:
+        """Whether a global access takes the warp-representative load:
+        a stride-0 GLoad under warp-uniform control."""
+        aff = self.affine.get(id(s))
+        return isinstance(s, K.GLoad) and aff is not None \
+            and aff.stride == 0 and aff.warp_ctl
+
+    def stride(self, s) -> str:
+        """The generated name holding an access's lane stride for this
+        launch (None in the generated code when it is varying or the
+        launch fails the layout guard)."""
+        aff = self.affine.get(id(s))
+        if aff is None:
+            return "None"
+        self.used_wok = True
+        name = self.strides.get(aff.stride)
+        if name is None:
+            name = self.strides[aff.stride] = f"S{len(self.strides)}"
+        return name
 
     def block(self, stmts: tuple, r: _Region) -> None:
         self.region_prologue(r, stmts)
@@ -868,13 +846,13 @@ class _Emitter:
         u = self.fresh()
         slot = self.alloc_slot(s.sid)
         self.bufs.add(s.buf)
-        helper = "_gload_u" if id(s) in self.uniform_ids else "_gload"
         self.w(f"ST.warp_inst_slots += {r.aws}")
         self._global_pre()
-        if id(s) in self.warp_ids:
+        call = (f"_gload(E, {s.dst!r}, B_{s.buf}, ix{u}, {r.m}, {r.mi}, "
+                f"{r.wk}, {r.bf}, {slot}, CK_{s.buf}, {self.stride(s)})")
+        if self.warp_rep(s):
             # warp-representative path, guarded on the runtime layout
             # condition that makes ``ty`` warp-uniform
-            self.used_wok = True
             self.w("if WOK:")
             self.ind += 1
             self.w(f"ix{u} = {self.expr(s.index, rep=True)}")
@@ -885,13 +863,11 @@ class _Emitter:
             self.w("else:")
             self.ind += 1
             self.w(f"ix{u} = {self.expr(s.index)}")
-            self.w(f"{helper}(E, {s.dst!r}, B_{s.buf}, ix{u}, {r.m}, "
-                   f"{r.mi}, {r.wk}, {r.bf}, {slot}, CK_{s.buf})")
+            self.w(call)
             self.ind -= 1
         else:
             self.w(f"ix{u} = {self.expr(s.index)}")
-            self.w(f"{helper}(E, {s.dst!r}, B_{s.buf}, ix{u}, {r.m}, "
-                   f"{r.mi}, {r.wk}, {r.bf}, {slot}, CK_{s.buf})")
+            self.w(call)
         self.attr_row(r, s.sid,
                       ("_attr_global(_r, ST, _g0, _l0, _b0, _d0)",))
 
@@ -904,7 +880,7 @@ class _Emitter:
         self.w(f"ix{u} = {self.expr(s.index)}")
         self.w(f"v{u} = {self.expr(s.value)}")
         self.w(f"_gstore(E, B_{s.buf}, ix{u}, v{u}, {r.m}, {r.mi}, "
-               f"{r.wk}, {r.bf}, {slot}, CK_{s.buf})")
+               f"{r.wk}, {r.bf}, {slot}, CK_{s.buf}, {self.stride(s)})")
         self.attr_row(r, s.sid,
                       ("_attr_global(_r, ST, _g0, _l0, _b0, _d0)",))
 
@@ -925,7 +901,7 @@ class _Emitter:
         self._shared_pre()
         self.w(f"ix{u} = {self.expr(s.index)}")
         self.w(f"_sload(E, {s.dst!r}, {s.arr!r}, ix{u}, {r.m}, {r.mi}, "
-               f"{r.wk}, {r.rw})")
+               f"{r.wk}, {r.rw}, {self.stride(s)})")
         self.attr_row(r, s.sid, self._SHARED_ATTR)
 
     def emit_sstore(self, s: K.SStore, r: _Region) -> None:
@@ -935,7 +911,7 @@ class _Emitter:
         self.w(f"ix{u} = {self.expr(s.index)}")
         self.w(f"v{u} = {self.expr(s.value)}")
         self.w(f"_sstore(E, {s.arr!r}, ix{u}, v{u}, {r.m}, {r.mi}, "
-               f"{r.wk}, {r.rw})")
+               f"{r.wk}, {r.rw}, {self.stride(s)})")
         self.attr_row(r, s.sid, self._SHARED_ATTR)
 
     def emit_if(self, s: K.If, r: _Region) -> None:
@@ -1169,6 +1145,11 @@ class _Emitter:
         top = _Region("m0", "True", "aw0", "aws0")
         self.block(self.kernel.body, top)
         body = self.lines
+        # lane strides: launch-uniform, evaluated once per chunk
+        strides = []
+        for c, name in self.strides.items():
+            val = repr(c) if isinstance(c, int) else f"int({self.expr(c)})"
+            strides.append(f"    {name} = {val} if WOK else None")
         head = [
             f"# trace-compiled kernel {self.kernel.name!r} "
             "(generated by repro.gpu.executor_trace)",
@@ -1190,6 +1171,7 @@ class _Emitter:
         if self.used_wok:
             head.append("    WOK = int(E.bdx) % "
                         f"{int(self.device.warp_size)} == 0")
+        head.extend(strides)
         head.append("    m0 = E.block_mask; f0 = True")
         head.append("    aw0 = np.full(NB, E.nwarps, dtype=np.int64); "
                     "aws0 = NB * int(E.nwarps)")

@@ -13,6 +13,19 @@ access that maps *n* distinct words to the same bank serializes into *n*
 accesses (same-word broadcast is free).  The transposed reduction layouts the
 paper rejects (Fig. 6(b) / 8(b)) pay for themselves here.
 
+Two ways to count, one result.  The per-lane path maps every active lane
+to its segment (or bank word) and deduplicates; the reference executor
+always uses it, as the oracle.  The block-axis executors pass
+:class:`WarpRuns` instead for accesses the static lane-affine verdict
+(:mod:`repro.gpu.affine`) covers: per active warp, one representative
+index, its contiguous run length and the launch-uniform lane stride.
+Segment ranges, warp requests, the block-tagged segment set, the bounds
+check and shared-bank conflict degrees then follow in closed form at
+O(active warps) cost.  The block-tagged segment set is identical on both
+paths, so the segment-reuse state and its launch-end replay
+(:func:`finalize_segment_reuse`) cannot tell them apart.  See
+``docs/cost-model.md``, "How the counters are computed".
+
 Store semantics: when several active threads store to the same element in one
 statement, the highest thread id wins, deterministically.  This makes
 missing-privatization races (the modeled commercial-compiler defects) produce
@@ -22,6 +35,7 @@ stable wrong answers instead of flaky ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +45,15 @@ from repro.gpu.device import DeviceProperties
 from repro.gpu.events import KernelStats
 
 __all__ = ["Buffer", "GlobalMemory", "SharedMemory", "BatchedSharedMemory",
-           "finalize_segment_reuse"]
+           "WarpRuns", "warp_runs", "finalize_segment_reuse"]
 
 _ALIGN = 256
+
+# bare ufunc reductions: the hot accounting paths run them on arrays of a
+# few dozen warps, where the ndarray-method wrappers cost as much as the
+# reduction itself
+_add, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
+_all, _any = np.logical_and.reduce, np.logical_or.reduce
 
 #: tag multiplier separating the block id from the segment id in the
 #: batched segment-reuse bookkeeping; segment ids are byte address //
@@ -180,13 +200,26 @@ class GlobalMemory:
     # -- internals -----------------------------------------------------------
 
     @staticmethod
-    def _check_bounds(buf: Buffer, act: np.ndarray) -> None:
+    def _check_bounds(buf: Buffer, act: np.ndarray,
+                      runs: WarpRuns | None = None) -> bool:
+        """Raise on the first out-of-range active index (lane order).
+
+        With ``runs`` the extremes come from each warp's first and last
+        lane in closed form; only a failing access looks at every lane,
+        so the error names the same index as the per-lane scan.  Returns
+        whether ``runs`` holds: when the closed form is out of range but
+        every lane is in range, the int32 index arithmetic wrapped
+        within a warp, and the caller must count per lane.
+        """
+        if runs is not None and runs.within(buf.size):
+            return True
         if act.size and (act.min() < 0 or act.max() >= buf.size):
             bad = act[(act < 0) | (act >= buf.size)][0]
             raise OutOfBoundsError(
                 f"index {int(bad)} out of bounds for buffer "
                 f"{buf.name!r} of size {buf.size}"
             )
+        return False
 
     def _count_transactions(self, buf: Buffer, act_idx: np.ndarray,
                             act_warp: np.ndarray, stats: KernelStats,
@@ -235,7 +268,7 @@ class GlobalMemory:
                      reuse: tuple | None = None,
                      act: np.ndarray | None = None,
                      act_block: np.ndarray | None = None,
-                     reps: tuple | None = None) -> np.ndarray:
+                     runs: WarpRuns | None = None) -> np.ndarray:
         """Gather ``buffer[idx]`` for all active lanes of a block chunk.
 
         ``idx``/``mask`` are ``(blocks, threads)``; ``warpkey`` is an
@@ -246,22 +279,26 @@ class GlobalMemory:
         block's access through :meth:`load` in block order.  ``act`` /
         ``act_block`` let a caller that already gathered ``idx[mask]`` /
         ``block_of[mask]`` (the checked executor path) avoid the second
-        masked gather.  ``reps`` — ``(rep, rblk)`` per-block
-        representative indices for statically per-block-uniform accesses
-        — lets transaction counting skip the per-lane key construction
-        entirely (see :meth:`_count_transactions_batched`).
+        masked gather.  ``runs`` — the :func:`warp_runs` of a lane-affine
+        access — replaces the per-lane bounds check and transaction count
+        with closed forms (see :meth:`_count_transactions_batched`).
         """
         buf = self[name]
         if act is None:
             act = idx[mask]
         out = np.zeros(idx.shape, dtype=buf.dtype.np)
         if act.size:
-            self._check_bounds(buf, act)
+            if not self._check_bounds(buf, act, runs):
+                runs = None
             out[mask] = buf.data[act]
-            if act_block is None and reps is None:
-                act_block = block_of[mask]
-            self._count_transactions_batched(buf, act, warpkey[mask],
-                                             act_block, stats, reuse, reps)
+            if runs is not None:
+                self._count_transactions_batched(buf, act, None, None,
+                                                 stats, reuse, runs)
+            else:
+                if act_block is None:
+                    act_block = block_of[mask]
+                self._count_transactions_batched(buf, act, warpkey[mask],
+                                                 act_block, stats, reuse)
             if self.faults is not None:
                 for i in np.flatnonzero(mask.any(axis=1)):
                     self.faults.on_gload(name, out[i], mask[i],
@@ -274,7 +311,7 @@ class GlobalMemory:
                       reuse: tuple | None = None,
                       act: np.ndarray | None = None,
                       act_block: np.ndarray | None = None,
-                      reps: tuple | None = None) -> None:
+                      runs: WarpRuns | None = None) -> None:
         """Scatter ``buffer[idx] = values`` for a block chunk.
 
         Duplicate indices resolve exactly as the reference path: NumPy
@@ -287,20 +324,24 @@ class GlobalMemory:
             act = idx[mask]
         if not act.size:
             return
-        self._check_bounds(buf, act)
+        if not self._check_bounds(buf, act, runs):
+            runs = None
         buf.data[act] = np.asarray(values, dtype=buf.dtype.np)[mask]
-        if act_block is None and reps is None:
+        if runs is not None:
+            self._count_transactions_batched(buf, act, None, None, stats,
+                                             reuse, runs)
+            return
+        if act_block is None:
             act_block = block_of[mask]
         self._count_transactions_batched(buf, act, warpkey[mask],
-                                         act_block, stats, reuse, reps)
+                                         act_block, stats, reuse)
 
     def _count_transactions_batched(self, buf: Buffer, act_idx: np.ndarray,
-                                    act_warpkey: np.ndarray,
-                                    act_block: np.ndarray,
+                                    act_warpkey: np.ndarray | None,
+                                    act_block: np.ndarray | None,
                                     stats: KernelStats,
                                     reuse: tuple | None = None,
-                                    reps: tuple | None = None,
-                                    wreps: tuple | None = None) -> None:
+                                    runs: WarpRuns | None = None) -> None:
         """Block-axis version of :meth:`_count_transactions`.
 
         Warp requests use block-qualified warp keys, so per-warp segment
@@ -316,66 +357,26 @@ class GlobalMemory:
         launch end and moves the overlap from DRAM to L2, restoring
         bit-identical totals.
 
-        ``reps`` — ``(rep, rblk)``, one representative index and block id
-        per active block — asserts the index is per-block uniform (the
-        static :func:`~repro.gpu.executor_batched._lane_uniform_stmts`
-        verdict).  Every lane of a block then touches the one segment its
-        representative touches, so warp requests collapse to the distinct
-        warp keys and the per-lane key construction below is skipped —
-        the dominant cost of broadcast-heavy kernels.
-
-        ``wreps`` — ``(rblk, lanes)``; ``act_idx`` then holds one
-        representative index per *active warp* (in lane order), ``rblk``
-        the block id of each, and ``lanes`` the true active-lane count.
-        Asserts the index is per-warp uniform under a warp-uniform mask
-        (the static :func:`~repro.gpu.executor_trace._warp_uniform_stmts`
-        verdict plus the ``blockDim.x % warp_size == 0`` launch guard).
-        One segment per warp and one rep per warp make ``requests`` the
-        rep count outright, the block-tagged dedup collapses to the reps
-        (every lane of a warp touches its rep's segment), and the byte
-        count comes from ``lanes`` instead of ``act_idx.size``.
+        ``runs`` (:class:`WarpRuns`, from a static lane-affine verdict)
+        replaces the per-lane keys with a closed form: ``act_idx``,
+        ``act_warpkey`` and ``act_block`` are then unused (see
+        :meth:`_runs_segments`).  Either way the block-tagged segment set
+        is the same sorted array, so the reuse bookkeeping below cannot
+        tell the two paths apart.
         """
-        nbytes = int(act_idx.size) * buf.dtype.itemsize
-        if wreps is not None:
-            rblk, lanes = wreps
-            nbytes = int(lanes) * buf.dtype.itemsize
-            seg_r = act_idx.astype(np.int64)
-            seg_r *= buf.dtype.itemsize
-            seg_r += buf.base
-            seg_r //= self.device.transaction_bytes
-            # one rep per active warp with distinct block-qualified warp
-            # keys: requests = the rep count
-            requests = int(seg_r.size)
-            bkey = rblk.astype(np.int64) * _SEG_TAG
-            bkey += seg_r
-            if not _is_sorted(bkey):
-                bkey.sort()
-            newseg = np.empty(bkey.size, dtype=bool)
-            newseg[0] = True
-            np.not_equal(bkey[1:], bkey[:-1], out=newseg[1:])
-            uniq_bseg = bkey[newseg]
-        elif reps is not None:
-            rep, rblk = reps
-            seg_r = rep.astype(np.int64)
-            seg_r *= buf.dtype.itemsize
-            seg_r += buf.base
-            seg_r //= self.device.transaction_bytes
-            # one segment per warp: requests = distinct warp keys (the
-            # block-qualified keys arrive sorted along the lane order)
-            requests = 1 + int(np.count_nonzero(
-                act_warpkey[1:] != act_warpkey[:-1]))
-            # one tagged segment per block, already unique and sorted
-            # (rblk is strictly increasing)
-            uniq_bseg = rblk.astype(np.int64) * _SEG_TAG
-            uniq_bseg += seg_r
+        tb = self.device.transaction_bytes
+        if runs is not None:
+            uniq_bseg, requests, lanes = self._runs_segments(buf, runs)
+            nbytes = lanes * buf.data.itemsize
         else:
+            nbytes = int(act_idx.size) * buf.data.itemsize
             # in-place key arithmetic: each array below is a fresh
             # temporary, so the compound expressions are unrolled to
             # avoid extra passes
             seg = act_idx.astype(np.int64)
-            seg *= buf.dtype.itemsize
+            seg *= buf.data.itemsize
             seg += buf.base
-            seg //= self.device.transaction_bytes
+            seg //= tb
             # sort+diff dedup: ~10x cheaper than np.unique's hash path at
             # the per-statement sizes this runs at (callers guarantee
             # act_idx is non-empty)
@@ -386,67 +387,239 @@ class GlobalMemory:
             requests = 1 + int(np.count_nonzero(wkey[1:] != wkey[:-1]))
             bkey = act_block * _SEG_TAG
             bkey += seg
-            if not _is_sorted(bkey):
-                bkey.sort()
-            newseg = np.empty(bkey.size, dtype=bool)
-            newseg[0] = True
-            np.not_equal(bkey[1:], bkey[:-1], out=newseg[1:])
-            uniq_bseg = bkey[newseg]
+            uniq_bseg = _sorted_unique(bkey)
         if reuse is not None:
             cache, slot = reuse
             st = cache.get(slot)
             if st is None:
                 st = cache[slot] = _SlotReuse()
+            dram = int(uniq_bseg.size)
             if st.cur.size:
-                dram = int(uniq_bseg.size
-                           - _in_sorted(uniq_bseg, st.cur).sum())
-            else:
-                dram = int(uniq_bseg.size)
-            blk = uniq_bseg // _SEG_TAG
-            bstart = np.empty(blk.size, dtype=bool)
-            bstart[0] = True
-            np.not_equal(blk[1:], blk[:-1], out=bstart[1:])
-            starts = np.flatnonzero(bstart)
-            pblocks = blk[starts]
-            pb = pblocks.tolist()
-            if not st.seen.issuperset(pb):
-                for j, b in enumerate(pb):
-                    if b not in st.seen:
-                        lo = starts[j]
-                        hi = starts[j + 1] if j + 1 < starts.size \
-                            else uniq_bseg.size
-                        st.first[b] = uniq_bseg[lo:hi] - b * _SEG_TAG
-                        st.seen.add(b)
-            if not st.cur.size or st.blocks.issubset(pbset := set(pb)):
-                # every cached block is executing this statement, so the
-                # eviction replaces the whole cache: skip the range
-                # subtraction (the steady state of full-chunk loops)
-                st.cur = uniq_bseg
-                st.blocks = set(pb)
-            else:
-                # evict the executing blocks' previous entries: tagged
-                # keys put each block in the contiguous key range
-                # [b*TAG, (b+1)*TAG), so eviction is range subtraction
-                lo = np.searchsorted(st.cur, pblocks * _SEG_TAG)
-                hi = np.searchsorted(st.cur, (pblocks + 1) * _SEG_TAG)
-                if len(pb) <= 8:
-                    keep_mask = np.ones(st.cur.size, dtype=bool)
-                    for l, h in zip(lo.tolist(), hi.tolist()):
-                        keep_mask[l:h] = False
-                    keep = st.cur[keep_mask]
-                else:
-                    delta = np.zeros(st.cur.size + 1, dtype=np.int32)
-                    np.add.at(delta, lo, 1)
-                    np.add.at(delta, hi, -1)
-                    keep = st.cur[np.cumsum(delta[:-1]) == 0]
-                st.cur = np.sort(np.concatenate([keep, uniq_bseg]))
-                st.blocks |= pbset
+                dram -= int(_add(_in_sorted(uniq_bseg, st.cur)))
+            st.update(uniq_bseg)
         else:
             dram = int(uniq_bseg.size)
         stats.global_transactions += dram
         stats.l2_transactions += requests - dram
         stats.global_bytes += nbytes
-        stats.dram_bytes += dram * self.device.transaction_bytes
+        stats.dram_bytes += dram * tb
+
+    def _runs_segments(self, buf: Buffer,
+                       runs: WarpRuns) -> tuple[np.ndarray, int, int]:
+        """Closed-form ``(uniq_bseg, requests, lanes)`` of a lane-affine
+        access.
+
+        Warp ``w``'s lanes touch byte addresses ``a_w + step * j`` for
+        ``j < count_w`` (``step = stride * itemsize``).  With ``|step|``
+        below the transaction size consecutive lanes never skip a
+        segment, so the warp touches exactly the segment range between
+        its first and last lane — one range per warp, usually a single
+        segment.  Otherwise every lane lands in its own segment.  Each
+        warp has its own block-qualified key, so ``requests`` is the sum
+        of the per-warp segment counts; the block-tagged segment set is
+        the union of the per-warp ranges, built in O(segments) instead of
+        O(lanes).
+        """
+        tb = self.device.transaction_bytes
+        rep, rblk, count, stride = runs
+        nw = rep.size
+        isz = buf.data.itemsize
+        step = stride * isz
+        lanes = count * nw if isinstance(count, int) else int(_add(count))
+        addr = np.multiply(rep, isz, dtype=np.int64)
+        addr += buf.base
+        keys = rblk * _SEG_TAG
+        if step == 0:
+            addr //= tb
+            keys += addr
+            return _sorted_unique(keys), nw, lanes
+        if abs(step) < tb:
+            span = count - 1  # lanes after the first, per warp
+            span *= abs(step)
+            if step < 0:
+                addr -= span  # the lowest address is the last lane's
+            seg, extra = np.divmod(addr, tb)
+            extra += span
+            extra //= tb  # segments per warp, minus one
+            keys += seg
+            requests = int(_add(extra)) + nw
+            if requests != nw:
+                extra += 1
+                keys = _expand_ranges(keys, extra, requests)
+            return _sorted_unique(keys), requests, lanes
+        # a segment per lane
+        cnt = np.full(nw, count) if isinstance(count, int) else count
+        j = _expand_ranges(np.zeros(nw, dtype=np.int64), cnt, lanes)
+        j *= step
+        j += np.repeat(addr, cnt)
+        j //= tb
+        j += np.repeat(keys, cnt)
+        return _sorted_unique(j), lanes, lanes
+
+
+class WarpRuns(NamedTuple):
+    """The active lanes of a lane-affine access, one entry per warp.
+
+    Active warp ``w`` (in the (block, warp) order of the lanes) runs
+    ``count[w]`` contiguous active lanes whose indices are ``rep[w] +
+    stride * j`` for ``j < count[w]``; ``count`` is a plain ``int`` when
+    every active warp is full.  ``rblk`` is each warp's absolute block
+    id.
+    """
+
+    rep: np.ndarray
+    rblk: np.ndarray
+    count: object
+    stride: int
+
+    def within(self, size: int) -> bool:
+        """Whether every active lane's index lies in ``[0, size)``."""
+        lo, hi = self.index_range()
+        return lo >= 0 and hi < size
+
+    def index_range(self) -> tuple[int, int]:
+        """Smallest and largest index any active lane touches."""
+        rep, count, stride = self.rep, self.count, self.stride
+        lo, hi = int(_min(rep)), int(_max(rep))
+        if stride and isinstance(count, int):
+            if stride > 0:
+                hi += stride * (count - 1)
+            else:
+                lo += stride * (count - 1)
+        elif stride:
+            end = count - 1
+            end *= stride
+            end += rep
+            if stride > 0:
+                hi = int(_max(end))
+            else:
+                lo = int(_min(end))
+        return lo, hi
+
+
+#: per warp size: the little-endian word holding one warp's packed lane
+#: mask (lane l = bit l) and its all-lanes value
+_MASK_WORD = {ws: (np.dtype(f"<u{ws // 8}"), (1 << ws) - 1)
+              for ws in (8, 16, 32, 64)}
+#: population count (NumPy >= 2.0); without it partial masks take the
+#: enumerated path
+_popcount = getattr(np, "bitwise_count", None)
+
+
+def warp_runs(idx: np.ndarray, mask: np.ndarray, block_ids: np.ndarray,
+              warp_size: int, stride: int,
+              full: bool = False) -> WarpRuns | None:
+    """Per-warp runs of a lane-affine access over a ``(blocks, threads)``
+    chunk, or None when the closed form does not apply.
+
+    ``idx`` holds the per-lane indices (possibly a broadcast view),
+    ``mask`` the active lanes and ``full`` asserts an all-true mask.  The
+    caller vouches (static verdict plus ``blockDim.x % warp_size == 0``)
+    that within each warp the active lanes' indices step by ``stride``
+    per lane.  That pins the indices only over a *contiguous* run of
+    active lanes, so a warp whose active lanes have a gap returns None —
+    except at ``stride == 0``, where every active lane shares one index
+    anyway.  The mask is packed to one machine word per warp, so the
+    run checks cost O(warps): population count for the run length,
+    lowest set bit for the first lane, and ``y & (y + 1) == 0`` (``y``
+    the word shifted down to its first lane) for contiguity.
+    """
+    nb, n = mask.shape
+    nw = n // warp_size
+    if full:
+        return WarpRuns(idx[:, ::warp_size].reshape(-1),
+                        np.repeat(block_ids, nw), warp_size, stride)
+    key = None
+    if mask.size <= _RUNS_MEMO_LANES:
+        key = (warp_size, n, stride != 0, mask.tobytes())
+        found = _RUNS_MEMO.get(key)
+        if found is None:
+            found = _mask_runs(mask, warp_size, stride != 0) or _GAP
+            if len(_RUNS_MEMO) >= _RUNS_MEMO_SIZE:
+                _RUNS_MEMO.clear()
+            _RUNS_MEMO[key] = found
+    else:
+        # big masks: the statements of one region share the mask object
+        global _last_big
+        kind = (warp_size, stride != 0)
+        if _last_big[0] is mask and _last_big[1] == kind:
+            found = _last_big[2]
+        else:
+            found = _mask_runs(mask, warp_size, stride != 0) or _GAP
+            _last_big = (mask, kind, found)
+    if found is _GAP:
+        return None
+    lane, wrow, count = found
+    return WarpRuns(idx.take(lane), block_ids[wrow], count, stride)
+
+
+def _mask_runs(mask: np.ndarray, warp_size: int, gapless: bool):
+    """``(lane, wrow, count)`` of a ``(blocks, threads)`` mask: the flat
+    index of each active warp's first active lane, its chunk row, and
+    the run lengths (an int when all are full) — or None when
+    ``gapless`` and some warp's active lanes are not contiguous, or the
+    warp size has no packed-word type."""
+    word = _MASK_WORD.get(warp_size)
+    if word is None or _popcount is None or mask.shape[1] % warp_size:
+        return None
+    word, every = word
+    bits = np.packbits(mask, axis=-1, bitorder="little").view(word)
+    bits = bits.reshape(-1)
+    live = bits.nonzero()[0]
+    x = bits[live]
+    lane = live * warp_size
+    if int(_min(x)) == every:
+        count = warp_size
+    else:
+        one = word.type(1)
+        first = _popcount((x & (~x + one)) - one)
+        if gapless:
+            y = x >> first
+            if _any(y & (y + one)):
+                return None
+        count = _popcount(x).astype(np.int64)
+        count.flags.writeable = False
+        lane += first
+    wrow = live // (mask.shape[1] // warp_size)
+    lane.flags.writeable = False
+    wrow.flags.writeable = False
+    return lane, wrow, count
+
+
+#: memo of :func:`_mask_runs` for small masks, where the per-call fixed
+#: cost dominates and loops re-run a statement under the same mask:
+#: ``(warp_size, threads, gapless, mask bytes) -> (lane, wrow, count)``
+#: or _GAP; bounded in entries and in mask size
+_RUNS_MEMO: dict = {}
+_RUNS_MEMO_SIZE = 128
+_RUNS_MEMO_LANES = 2048
+_GAP = object()
+#: the last bigger mask's runs, by identity (holding the mask keeps its
+#: id from being reused; executors never mutate a mask in place)
+_last_big: tuple = (None, None, None)
+
+
+def _expand_ranges(first: np.ndarray, counts: np.ndarray,
+                   total: int) -> np.ndarray:
+    """Concatenation of ``range(first[i], first[i] + counts[i])``."""
+    starts = np.cumsum(counts)
+    starts -= counts
+    out = np.repeat(first - starts, counts)
+    out += np.arange(total, dtype=np.int64)
+    return out
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a fresh, non-empty int64 array (sorts
+    it in place when it is not already ordered)."""
+    if keys.size < 2 or _all(keys[1:] > keys[:-1]):
+        return keys  # strictly increasing: already the answer
+    if not _is_sorted(keys):
+        keys.sort()
+    new = np.empty(keys.size, dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new]
 
 
 def _is_sorted(a: np.ndarray) -> bool:
@@ -456,7 +629,7 @@ def _is_sorted(a: np.ndarray) -> bool:
     broadcast reads) produce pre-sorted dedup keys, so one comparison
     pass routinely replaces an O(n log n) sort.
     """
-    return a.size < 2 or bool((a[1:] >= a[:-1]).all())
+    return a.size < 2 or bool(_all(a[1:] >= a[:-1]))
 
 
 def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -469,14 +642,15 @@ def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     """
     if not table.size:
         return np.zeros(values.shape, dtype=bool)
-    pos = np.minimum(np.searchsorted(table, values), table.size - 1)
-    return table[pos] == values
+    pos = table.searchsorted(values)
+    np.minimum(pos, table.size - 1, out=pos)
+    return table.take(pos) == values
 
 
 class _SlotReuse:
     """Per-statement segment-reuse state for the batched executor."""
 
-    __slots__ = ("cur", "first", "seen", "blocks")
+    __slots__ = ("cur", "first", "seen", "blocks", "last")
 
     def __init__(self):
         #: sorted block-tagged segments of each block's latest execution
@@ -487,6 +661,71 @@ class _SlotReuse:
         #: blocks with an entry in ``cur`` (drives the full-replacement
         #: eviction fast path)
         self.blocks: set[int] = set()
+        #: ``blocks`` as the sorted array a multi-block execution left,
+        #: or None: a next execution by exactly these blocks is a plain
+        #: replacement (the steady state of loops over a full chunk)
+        self.last: np.ndarray | None = None
+
+    def update(self, uniq_bseg: np.ndarray) -> None:
+        """Record one execution's sorted block-tagged segments."""
+        b0 = int(uniq_bseg[0]) // _SEG_TAG
+        if b0 == int(uniq_bseg[-1]) // _SEG_TAG:
+            # one executing block (compacted loops, last-block
+            # epilogues): no block-boundary scan
+            pb = [b0]
+            pblocks = None
+            if b0 not in self.seen:
+                self.first[b0] = uniq_bseg - b0 * _SEG_TAG
+                self.seen.add(b0)
+        else:
+            blk = uniq_bseg // _SEG_TAG
+            bstart = np.empty(blk.size, dtype=bool)
+            bstart[0] = True
+            np.not_equal(blk[1:], blk[:-1], out=bstart[1:])
+            starts = bstart.nonzero()[0]
+            pblocks = blk[starts]
+            last = self.last
+            if last is not None and last.size == pblocks.size \
+                    and _all(last == pblocks):
+                # every block was seen and cached by the last execution
+                self.cur = uniq_bseg
+                return
+            pb = pblocks.tolist()
+            if not self.seen.issuperset(pb):
+                rel = uniq_bseg % _SEG_TAG
+                ends = starts.tolist()
+                ends.append(uniq_bseg.size)
+                for j, b in enumerate(pb):
+                    if b not in self.seen:
+                        self.first[b] = rel[ends[j]:ends[j + 1]]
+                        self.seen.add(b)
+        if not self.cur.size or self.blocks.issubset(pb):
+            # every cached block is executing this statement, so the
+            # eviction replaces the whole cache: skip the range
+            # subtraction (the steady state of full-chunk loops)
+            self.cur = uniq_bseg
+            self.blocks = set(pb)
+            self.last = pblocks
+            return
+        # evict the executing blocks' previous entries: tagged keys put
+        # each block in the contiguous key range [b*TAG, (b+1)*TAG), so
+        # eviction is range subtraction
+        pblocks = np.asarray(pb, dtype=np.int64)
+        lo = np.searchsorted(self.cur, pblocks * _SEG_TAG)
+        hi = np.searchsorted(self.cur, (pblocks + 1) * _SEG_TAG)
+        if len(pb) <= 8:
+            keep_mask = np.ones(self.cur.size, dtype=bool)
+            for l, h in zip(lo.tolist(), hi.tolist()):
+                keep_mask[l:h] = False
+            keep = self.cur[keep_mask]
+        else:
+            delta = np.zeros(self.cur.size + 1, dtype=np.int32)
+            np.add.at(delta, lo, 1)
+            np.add.at(delta, hi, -1)
+            keep = self.cur[np.cumsum(delta[:-1]) == 0]
+        self.cur = np.sort(np.concatenate([keep, uniq_bseg]))
+        self.blocks.update(pb)
+        self.last = None
 
 
 def finalize_segment_reuse(cache: dict, stats: KernelStats,
@@ -634,45 +873,130 @@ class SharedMemory:
         return arr
 
     def _count_banks(self, name: str, act_idx: np.ndarray,
-                     act_warp: np.ndarray) -> None:
+                     act_warp: np.ndarray | None,
+                     runs: WarpRuns | None = None) -> None:
         """Conflict-serialized access count for one warp-synchronous access.
 
         Per warp: group the *distinct words* touched by bank; the access
         serializes into ``max_over_banks(#distinct words)`` shared accesses.
         Lanes reading the same word broadcast for free.
+
+        ``runs`` (a lane-affine access, see :func:`warp_runs`) takes each
+        warp's degree from :func:`_bank_degree_table` instead: it depends
+        only on the first lane's byte offset within one sweep of the
+        banks and on the run length.
         """
         itemsize = self._dtypes[name].itemsize
+        if runs is not None:
+            nw = runs.rep.size
+            if runs.stride == 0:
+                serialized = nw  # one word per warp: a broadcast
+            else:
+                dev = self.device
+                sweep = dev.shared_mem_banks * dev.shared_mem_bank_width
+                off = runs.rep.astype(np.int64)
+                off *= itemsize
+                off += self._offsets[name]
+                off %= sweep
+                cnt = runs.count
+                if isinstance(cnt, int):
+                    cnt = np.full(nw, cnt, dtype=np.int64)
+                table = _bank_degree_table(dev, itemsize, runs.stride)
+                deg = table[off, cnt]
+                if bool((deg < 0).any()):
+                    _fill_bank_degrees(table, dev, itemsize, runs.stride,
+                                       off, cnt)
+                    deg = table[off, cnt]
+                serialized = int(_add(deg, dtype=np.int64))
+            self.stats.shared_accesses += serialized
+            self.stats.bank_conflict_extra += serialized - nw
+            return
         word = (self._offsets[name] + act_idx.astype(np.int64) * itemsize) \
             // self.device.shared_mem_bank_width
-        nbanks = self.device.shared_mem_banks
-        # distinct (warp, word) pairs — sort+diff dedup, same sorted
-        # result as np.unique at a fraction of the per-call overhead
-        key = act_warp.astype(np.int64) * (1 << 40) + word
-        if not _is_sorted(key):
-            key.sort()
-        keep = np.empty(key.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(key[1:], key[:-1], out=keep[1:])
-        uniq = key[keep]
-        uw_warp = uniq >> 40
-        uw_bank = (uniq & ((1 << 40) - 1)) % nbanks
-        # count distinct words per (warp, bank), then take max per warp
-        key2 = uw_warp * nbanks + uw_bank
-        key2.sort()
-        b2 = np.empty(key2.size, dtype=bool)
-        b2[0] = True
-        np.not_equal(key2[1:], key2[:-1], out=b2[1:])
-        starts2 = np.flatnonzero(b2)
-        counts = np.empty(starts2.size, dtype=np.int64)
-        np.subtract(starts2[1:], starts2[:-1], out=counts[:-1])
-        counts[-1] = key2.size - starts2[-1]
-        warps2 = key2[starts2] // nbanks
-        # segment max: warps2 is sorted; find boundaries
-        starts = np.flatnonzero(np.r_[True, warps2[1:] != warps2[:-1]])
-        degrees = np.maximum.reduceat(counts, starts)
+        degrees = _bank_degrees(word, act_warp, self.device.shared_mem_banks)
         serialized = int(degrees.sum())
         self.stats.shared_accesses += serialized
         self.stats.bank_conflict_extra += serialized - int(degrees.size)
+
+
+def _bank_degrees(word: np.ndarray, warp: np.ndarray,
+                  nbanks: int) -> np.ndarray:
+    """Per-warp conflict degree (max distinct words over banks), in
+    ascending warp-key order, for lanes touching ``word``."""
+    # distinct (warp, word) pairs — sort+diff dedup, same sorted
+    # result as np.unique at a fraction of the per-call overhead
+    key = warp.astype(np.int64) * (1 << 40) + word
+    if not _is_sorted(key):
+        key.sort()
+    keep = np.empty(key.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    uniq = key[keep]
+    uw_warp = uniq >> 40
+    uw_bank = (uniq & ((1 << 40) - 1)) % nbanks
+    # count distinct words per (warp, bank), then take max per warp
+    key2 = uw_warp * nbanks + uw_bank
+    key2.sort()
+    b2 = np.empty(key2.size, dtype=bool)
+    b2[0] = True
+    np.not_equal(key2[1:], key2[:-1], out=b2[1:])
+    starts2 = np.flatnonzero(b2)
+    counts = np.empty(starts2.size, dtype=np.int64)
+    np.subtract(starts2[1:], starts2[:-1], out=counts[:-1])
+    counts[-1] = key2.size - starts2[-1]
+    warps2 = key2[starts2] // nbanks
+    # segment max: warps2 is sorted; find boundaries
+    starts = np.flatnonzero(np.r_[True, warps2[1:] != warps2[:-1]])
+    return np.maximum.reduceat(counts, starts)
+
+
+#: memoized conflict degrees of lane-affine shared accesses: one dense
+#: ``(bank sweep bytes, warp_size + 1)`` table per (bank geometry,
+#: itemsize, stride), indexed by the first lane's byte offset within a
+#: bank sweep and the run length; -1 marks entries not computed yet
+_BANK_DEGREES: dict[tuple, np.ndarray] = {}
+
+
+def _bank_degree_table(device: DeviceProperties, itemsize: int,
+                       stride: int) -> np.ndarray:
+    key = (device.shared_mem_banks, device.shared_mem_bank_width,
+           device.warp_size, itemsize, stride)
+    table = _BANK_DEGREES.get(key)
+    if table is None:
+        if len(_BANK_DEGREES) >= 64:  # unbounded param strides
+            _BANK_DEGREES.clear()
+        sweep = device.shared_mem_banks * device.shared_mem_bank_width
+        table = _BANK_DEGREES[key] = np.full(
+            (sweep, device.warp_size + 1), -1, dtype=np.int16)
+    return table
+
+
+def _fill_bank_degrees(table: np.ndarray, device: DeviceProperties,
+                       itemsize: int, stride: int, off: np.ndarray,
+                       cnt: np.ndarray) -> None:
+    """Compute the missing ``(off, cnt)`` entries of ``table``.
+
+    One synthetic warp per missing entry runs through the per-lane
+    :func:`_bank_degrees`: its lanes touch bytes ``off + step * j`` for
+    ``j < cnt``.  Shifting every address by whole bank sweeps changes no
+    bank and merges no words, so the offset within a sweep is all that
+    matters; the shift below keeps negative strides at non-negative
+    addresses.
+    """
+    miss = table[off, cnt] < 0
+    width = device.warp_size + 1
+    todo = np.unique(off[miss] * width + cnt[miss])
+    t_off, t_cnt = todo // width, todo % width
+    step = stride * itemsize
+    sweep = device.shared_mem_banks * device.shared_mem_bank_width
+    shift = (abs(step) * device.warp_size // sweep + 1) * sweep
+    lanes = int(t_cnt.sum())
+    j = _expand_ranges(np.zeros(todo.size, dtype=np.int64), t_cnt, lanes)
+    addr = np.repeat(t_off + shift, t_cnt) + step * j
+    warp = np.repeat(np.arange(todo.size, dtype=np.int64), t_cnt)
+    table[t_off, t_cnt] = _bank_degrees(
+        addr // device.shared_mem_bank_width, warp,
+        device.shared_mem_banks)
 
 
 class BatchedSharedMemory(SharedMemory):
@@ -696,18 +1020,24 @@ class BatchedSharedMemory(SharedMemory):
                                           dtype=arr.dtype)
 
     def load(self, name: str, idx: np.ndarray, mask: np.ndarray,
-             warpkey: np.ndarray, rows: np.ndarray) -> np.ndarray:
+             warpkey: np.ndarray, rows: np.ndarray,
+             runs: WarpRuns | None = None) -> np.ndarray:
         """Gather with ``(blocks, threads)`` index/mask arrays.
 
         ``warpkey`` holds block-qualified warp ids, ``rows`` the chunk row
-        index per lane.
+        index per lane; ``runs`` marks a lane-affine access (see
+        :meth:`SharedMemory._count_banks`).
         """
         arr = self._array2(name, idx, mask)
         out = np.zeros(idx.shape, dtype=arr.dtype)
         act = idx[mask]
         if act.size:
             out[mask] = arr[rows[mask], act]
-            self._count_banks(name, act, warpkey[mask])
+            if runs is not None and not runs.within(arr.shape[1]):
+                runs = None  # the index arithmetic wrapped
+            self._count_banks(name, act,
+                              None if runs is not None else warpkey[mask],
+                              runs)
             if self.faults is not None:
                 # the executor may pass row-compacted arrays: mask row i
                 # maps to chunk row rows[i, 0], which indexes block_ids
@@ -719,13 +1049,16 @@ class BatchedSharedMemory(SharedMemory):
 
     def store(self, name: str, idx: np.ndarray, values: np.ndarray,
               mask: np.ndarray, warpkey: np.ndarray,
-              rows: np.ndarray) -> None:
+              rows: np.ndarray, runs: WarpRuns | None = None) -> None:
         arr = self._array2(name, idx, mask)
         act = idx[mask]
         if not act.size:
             return
         arr[rows[mask], act] = np.asarray(values, dtype=arr.dtype)[mask]
-        self._count_banks(name, act, warpkey[mask])
+        if runs is not None and not runs.within(arr.shape[1]):
+            runs = None  # the index arithmetic wrapped
+        self._count_banks(name, act,
+                          None if runs is not None else warpkey[mask], runs)
 
     def read_block(self, name: str, row: int) -> np.ndarray:
         """One block's view of a shared array (tests/debugging)."""

@@ -76,7 +76,10 @@ _MAGIC = b"REPROCC1"
 #: records gained ``cascade_fusion`` decisions.  v2 entries (pre
 #: multi-stage schema) must read as misses, not as programs that lost
 #: their fusion decisions.
-PAYLOAD_VERSION = 3
+#: v4: generated trace sources pass lane strides to the memory helpers
+#: (closed-form counter accounting); v3 sources call the old helper
+#: signatures and must not be executed.
+PAYLOAD_VERSION = 4
 
 #: unique-suffix counter for quarantine renames within one process
 _QSEQ = itertools.count()

@@ -16,9 +16,13 @@ Two measured waves make the persistent compile cache's value visible:
   the same cache directory, with the in-memory payload index dropped, so
   every compile is served by disk read + verify + unpickle.
 
-The report carries per-wave latency and compile-time percentiles; the
-acceptance gate (``warm p50 < cold p50`` on compile time) is asserted by
-the soak/CI harness, not here.
+The report carries per-wave latency and compile-time percentiles.  Most
+cold-wave compiles are not cache misses (a program's later requests hit
+the device memo or another device's fresh disk entry), so the per-wave
+p50s compare memo hits with memo hits.  The acceptance statistic is
+therefore *paired* (:func:`paired_compile`): the cold wave's cache-miss
+compiles against the warm wave's disk-hit compiles of the same programs.
+The gate (warm must beat cold) is asserted by the CLI, not here.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from repro.serve.pool import DevicePool
 from repro.serve.scheduler import (ComputeRequest, RequestResult, Scheduler,
                                    ServeConfig)
 
-__all__ = ["build_corpus", "run_wave", "run_loadgen", "verify_results"]
+__all__ = ["build_corpus", "run_wave", "run_loadgen", "verify_results",
+           "paired_compile"]
 
 #: the corpus grid: integer-only operators (exact references) across the
 #: clause positions the paper's Table 2 exercises
@@ -162,6 +167,38 @@ def _wave_stats(results: list[RequestResult]) -> dict:
     }
 
 
+def paired_compile(corpus: list[LoadRequest], cold: list[RequestResult],
+                   warm: list[RequestResult]) -> dict:
+    """Compile cost of the cold miss path against the warm disk-hit path.
+
+    Pairs by program: only programs with a cold-wave ``miss`` *and* a
+    warm-wave ``hit`` count.  Each program contributes the median of its
+    compiles on each side, so a program requested often weighs no more
+    than one requested once; ``speedup_p50`` is the ratio of the two
+    medians over programs (``None`` when no program pairs).
+    """
+    key_of = {lr.request.id: lr.request.source for lr in corpus}
+
+    def by_key(results, path):
+        out: dict[str, list[float]] = {}
+        for r in results:
+            if r.ok and r.cache == path:
+                out.setdefault(key_of[r.id], []).append(r.compile_us)
+        return out
+
+    miss, hit = by_key(cold, "miss"), by_key(warm, "hit")
+    keys = sorted(miss.keys() & hit.keys())
+    cold_us = quantile([quantile(miss[k], 0.50) for k in keys], 0.50)
+    warm_us = quantile([quantile(hit[k], 0.50) for k in keys], 0.50)
+    return {
+        "programs": len(keys),
+        "cold_miss_p50_us": round(cold_us, 1),
+        "warm_hit_p50_us": round(warm_us, 1),
+        "speedup_p50": round(cold_us / warm_us, 2)
+        if keys and warm_us else None,
+    }
+
+
 def run_loadgen(cache_dir, *, n_requests: int = 64, n_devices: int = 4,
                 seed: int = 0, size: int = 256, deadline_s: float = 30.0,
                 stagger_s: float = 0.0, config: ServeConfig | None = None,
@@ -180,6 +217,7 @@ def run_loadgen(cache_dir, *, n_requests: int = 64, n_devices: int = 4,
             results = await run_wave(sched, corpus, stagger_s=stagger_s)
             return results, sched.report()
 
+    wave_results = {}
     for wave in ("cold",) + (("warm",) if warm_pass else ()):
         if wave == "warm":
             # fresh pool + scheduler (empty per-device memos), and forget
@@ -192,6 +230,7 @@ def run_loadgen(cache_dir, *, n_requests: int = 64, n_devices: int = 4,
                 if tl is not None:
                     tl.drain()
         results, sched_report = asyncio.run(_one_wave())
+        wave_results[wave] = results
         stats = _wave_stats(results)
         stats["verify"] = verify_results(corpus, results)
         stats["devices"] = sched_report["devices"]
@@ -199,7 +238,8 @@ def run_loadgen(cache_dir, *, n_requests: int = 64, n_devices: int = 4,
         report["waves"][wave] = stats
     report["compile_cache"] = cache.stats()
     if warm_pass:
-        cold = report["waves"]["cold"]["compile_p50_us"]
-        warm = report["waves"]["warm"]["compile_p50_us"]
-        report["warm_speedup_p50"] = round(cold / warm, 2) if warm else None
+        paired = paired_compile(corpus, wave_results["cold"],
+                                wave_results["warm"])
+        report["paired_compile"] = paired
+        report["warm_speedup_p50"] = paired["speedup_p50"]
     return report

@@ -22,6 +22,7 @@ The **gate** (:func:`evaluate_gate`) is the PR's acceptance bar:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,11 +31,16 @@ from repro.faults import FaultPlan
 from repro.obs import timeline as _timeline
 from repro.obs.slo import quantile
 from repro.serve.cache import CompileCache
-from repro.serve.loadgen import build_corpus, run_wave, verify_results
+from repro.serve.loadgen import (LoadRequest, build_corpus, run_wave,
+                                 verify_results)
 from repro.serve.pool import DevicePool
 from repro.serve.scheduler import Scheduler, ServeConfig
 
 __all__ = ["SoakConfig", "run_soak", "evaluate_gate", "reference_results"]
+
+#: after the wave, probe traffic until every chaos device's breaker is
+#: closed again, for at most this long (see :func:`_heal`)
+HEAL_TIMEOUT_S = 10.0
 
 #: the default chaos mix, budgeted so the device heals before the end.
 #: Stuck warps dominate deliberately: launch/transfer failures are
@@ -155,9 +161,14 @@ def run_soak(cache_dir, config: SoakConfig | None = None) -> dict:
             results = await run_wave(sched, corpus,
                                      stagger_s=cfg.stagger_s,
                                      on_submitted=on_submitted)
+            results += await _heal(sched, pool, cfg, corpus, healing)
             return results, sched.report(), pool.snapshot()
 
+    healing: list[LoadRequest] = []
     results, sched_report, devices = asyncio.run(_run())
+    for lr in healing:
+        refs[lr.request.id] = refs[lr.request.id.split("~")[0]]
+    corpus = corpus + healing
     verify = verify_results(corpus, results)
     escapes = _compare_to_reference(corpus, results, refs)
     ok_lat = [r.latency_us for r in results if r.ok]
@@ -166,7 +177,8 @@ def run_soak(cache_dir, config: SoakConfig | None = None) -> dict:
                    "n_devices": cfg.n_devices, "seed": cfg.seed,
                    "chaos_devices": list(cfg.chaos_devices),
                    "armed_after": arm_at, "chaos": dict(cfg.chaos),
-                   "max_faults": cfg.max_faults},
+                   "max_faults": cfg.max_faults,
+                   "healing_requests": len(healing)},
         "by_status": sched_report["by_status"],
         "latency": {"ok_p50_us": round(quantile(ok_lat, 0.5), 1),
                     "ok_p99_us": round(quantile(ok_lat, 0.99), 1)},
@@ -180,6 +192,34 @@ def run_soak(cache_dir, config: SoakConfig | None = None) -> dict:
     }
     report["gate"] = evaluate_gate(report, cfg)
     return report
+
+
+async def _heal(sched: Scheduler, pool: DevicePool, cfg: SoakConfig,
+                corpus: list, healing: list) -> list:
+    """Probe traffic until the chaos devices' breakers close again.
+
+    A breaker re-admits a device only through probation probes, and a
+    probe needs a request that arrives after the quarantine ends.  A wave
+    that finishes while the victim is still quarantined would leave the
+    gate's re-admission clause to the host's speed, not to the breaker.
+    So after the wave, corpus requests (fresh ids ``<id>~<n>``, the same
+    inputs and references) go out one at a time until every tripped
+    chaos device is closed, for at most :data:`HEAL_TIMEOUT_S`.  Their
+    answers are verified like the wave's.
+    """
+    breakers = [pool.devices[i].breaker for i in cfg.chaos_devices]
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + HEAL_TIMEOUT_S
+    results = []
+    while any(b.state != b.CLOSED for b in breakers) \
+            and loop.time() < deadline:
+        n = len(healing)
+        lr = corpus[n % len(corpus)]
+        req = dataclasses.replace(lr.request, id=f"{lr.request.id}~{n}")
+        healing.append(LoadRequest(req, lr.case, lr.expected))
+        results.append(await sched.submit_nowait(req))
+        await asyncio.sleep(0.01)
+    return results
 
 
 def evaluate_gate(report: dict, cfg: SoakConfig) -> dict:

@@ -1,5 +1,7 @@
 """Property tests on the memory model's accounting invariants."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,10 @@ from repro.dtypes import DType
 from repro.gpu.device import K20C
 from repro.gpu.events import KernelStats
 from repro.gpu.kernelir import SharedArraySpec
-from repro.gpu.memory import GlobalMemory, SharedMemory
+from repro.gpu.memory import (
+    _SEG_TAG, Buffer, GlobalMemory, SharedMemory, WarpRuns, _SlotReuse,
+    finalize_segment_reuse, warp_runs,
+)
 
 SIZE = 4096
 
@@ -95,3 +100,199 @@ class TestSharedAccounting:
         assert stats.shared_accesses == expect
         assert 1 <= stats.shared_accesses <= 32
         assert stats.bank_conflict_extra == expect - 1
+
+
+# ---------------------------------------------------------------------------
+# closed-form (lane-affine) accounting vs the enumerated per-lane path
+# ---------------------------------------------------------------------------
+
+WS = K20C.warp_size
+_ITEM = {1: np.int8, 2: np.int16, 4: np.int32, 8: np.int64}
+
+
+def _run_strategy():
+    """One warp's active lanes: full, prefix, suffix, interior or none."""
+    return st.one_of(
+        st.just((0, WS)),
+        st.integers(1, WS - 1).map(lambda k: (0, k)),
+        st.integers(1, WS - 1).map(lambda k: (WS - k, k)),
+        st.tuples(st.integers(1, WS - 2), st.integers(1, WS - 2)).map(
+            lambda t: (t[0], max(1, min(t[1], WS - 1 - t[0])))),
+        st.just((0, 0)),
+    )
+
+
+@st.composite
+def _affine_calls(draw):
+    """A buffer, a stride and a sequence of executions of one access."""
+    itemsize = draw(st.sampled_from(sorted(_ITEM)))
+    big = 128 // itemsize
+    stride = draw(st.one_of(
+        st.sampled_from([0, 1, -1, 2, big, big + 1, -big, 3 * big]),
+        st.integers(-3 * big, 3 * big)))
+    # warps per block; 40 makes a mask too large for the runs memo
+    nw = draw(st.sampled_from([1, 2, 3, 4, 40]))
+    size = 1 << 15
+    calls = []
+    for _ in range(draw(st.integers(1, 4))):
+        blocks = sorted(draw(st.sets(st.integers(0, 7), min_size=1,
+                                     max_size=3)))
+        runs = [[draw(_run_strategy()) for _ in range(nw)] for _ in blocks]
+        full = draw(st.booleans())
+        if full:
+            runs = [[(0, WS)] * nw for _ in blocks]
+        span = abs(stride) * (WS - 1)
+        reps = [[draw(st.integers(span if stride < 0 else 0,
+                                  size - 1 - (span if stride > 0 else 0)))
+                 for _ in range(nw)] for _ in blocks]
+        calls.append((np.asarray(blocks, dtype=np.int64), runs, reps, full))
+    base = 256 + draw(st.integers(0, 255))
+    return itemsize, stride, nw, size, base, calls
+
+
+def _lanes(nw, runs, reps, stride, rng):
+    """Per-lane ``(idx, mask)`` of one execution; inactive lanes hold
+    garbage the closed form must never read."""
+    nb = len(runs)
+    idx = rng.integers(-10**6, 10**6, size=(nb, nw * WS)).astype(np.int32)
+    mask = np.zeros((nb, nw * WS), dtype=bool)
+    for b in range(nb):
+        for w in range(nw):
+            first, cnt = runs[b][w]
+            lo = w * WS + first
+            mask[b, lo:lo + cnt] = True
+            idx[b, lo:lo + cnt] = reps[b][w] + stride * np.arange(cnt)
+    return idx, mask
+
+
+def _slot_state(st_):
+    return (st_.cur.tolist(), sorted(st_.seen), sorted(st_.blocks),
+            {b: v.tolist() for b, v in st_.first.items()})
+
+
+class TestClosedFormAccounting:
+    """The lane-affine closed form is bit-identical to the enumerated
+    per-lane path: counters per call, the segment-reuse state after
+    every call, and the launch-end cross-block replay."""
+
+    @given(case=_affine_calls(), seed=st.integers(0, 2**16))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_enumerated_path(self, case, seed):
+        itemsize, stride, nw, size, base, calls = case
+        rng = np.random.default_rng(seed)
+        g = GlobalMemory(K20C)
+        buf = Buffer("a", DType.INT, size, base,
+                     np.zeros(size, dtype=_ITEM[itemsize]))
+        s_enum, s_closed = KernelStats(), KernelStats()
+        c_enum, c_closed = {}, {}
+        for blocks, runs, reps, full in calls:
+            idx, mask = _lanes(nw, runs, reps, stride, rng)
+            act = idx[mask]
+            if not act.size:
+                continue
+            nb = len(blocks)
+            warpkey = (np.arange(nb, dtype=np.int64)[:, None] * nw
+                       + np.arange(nw * WS)[None, :] // WS)
+            block_of = np.broadcast_to(blocks[:, None], mask.shape)
+            runs_ = warp_runs(idx, mask, blocks, WS, stride, full=full)
+            assert runs_ is not None
+            assert runs_.index_range() == (int(act.min()), int(act.max()))
+            before = (dataclasses.astuple(s_enum),
+                      dataclasses.astuple(s_closed))
+            g._count_transactions_batched(buf, act, warpkey[mask],
+                                          block_of[mask], s_enum,
+                                          (c_enum, 0))
+            g._count_transactions_batched(buf, act, None, None, s_closed,
+                                          (c_closed, 0), runs_)
+            assert _counts(s_enum) == _counts(s_closed), before
+            assert _slot_state(c_enum[0]) == _slot_state(c_closed[0])
+        finalize_segment_reuse(c_enum, s_enum, K20C.transaction_bytes)
+        finalize_segment_reuse(c_closed, s_closed, K20C.transaction_bytes)
+        assert _counts(s_enum) == _counts(s_closed)
+
+    def test_gap_in_a_strided_run_declines(self):
+        idx = np.arange(WS, dtype=np.int32)[None, :]
+        mask = np.ones((1, WS), dtype=bool)
+        mask[0, 5] = False
+        blocks = np.zeros(1, dtype=np.int64)
+        assert warp_runs(idx, mask, blocks, WS, 1) is None
+        # a uniform index needs no contiguity
+        assert warp_runs(idx * 0, mask, blocks, WS, 0) is not None
+
+    @given(itemsize=st.sampled_from([1, 2, 4, 8]),
+           stride=st.integers(-70, 70),
+           pad=st.integers(0, 40),
+           starts=st.lists(st.integers(0, 200), min_size=1, max_size=6),
+           cnts=st.lists(st.integers(1, WS), min_size=6, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_bank_degree_table_matches_count_banks(self, itemsize, stride,
+                                                   pad, starts, cnts):
+        specs = (SharedArraySpec("pad", DType.BOOL, pad + 1),
+                 SharedArraySpec("s", DType.LONG, 4096))
+        s_enum, s_closed = KernelStats(), KernelStats()
+        sm_enum = SharedMemory(K20C, specs, s_enum)
+        sm_closed = SharedMemory(K20C, specs, s_closed)
+        for sm in (sm_enum, sm_closed):
+            # any element size; the bank model reads only the itemsize
+            sm._dtypes["s"] = type("D", (), {"itemsize": itemsize})
+        span = abs(stride) * (WS - 1)
+        reps = np.asarray([s + span for s in starts], dtype=np.int64)
+        cnt = np.asarray(cnts[:len(starts)], dtype=np.int64)
+        lanes = np.concatenate([r + stride * np.arange(k)
+                                for r, k in zip(reps, cnt)])
+        warp = np.repeat(np.arange(reps.size), cnt)
+        sm_enum._count_banks("s", lanes, warp)
+        sm_closed._count_banks("s", lanes, None, WarpRuns(
+            reps, np.zeros(reps.size, dtype=np.int64), cnt, stride))
+        assert (s_enum.shared_accesses, s_enum.bank_conflict_extra) == \
+            (s_closed.shared_accesses, s_closed.bank_conflict_extra)
+
+
+def _counts(s):
+    return (s.global_transactions, s.l2_transactions, s.global_bytes,
+            s.dram_bytes)
+
+
+@st.composite
+def _executions(draw):
+    """Executions of one statement: per call, each executing block's
+    segment set.  Calls repeat the last block set (a loop iteration),
+    shrink it (a compacted loop) or draw a new one (the next chunk)."""
+    calls, blocks = [], None
+    for _ in range(draw(st.integers(1, 6))):
+        how = draw(st.sampled_from(["same", "subset", "new"])) \
+            if blocks else "new"
+        if how == "subset":
+            blocks = sorted(draw(st.sets(st.sampled_from(blocks),
+                                         min_size=1)))
+        elif how == "new":
+            blocks = sorted(draw(st.sets(st.integers(0, 5), min_size=1,
+                                         max_size=4)))
+        calls.append({b: sorted(draw(st.sets(st.integers(0, 40),
+                                             min_size=1, max_size=4)))
+                      for b in blocks})
+    return calls
+
+
+class TestSlotReuse:
+    @given(calls=_executions())
+    @settings(max_examples=300, deadline=None)
+    def test_update_replaces_each_executing_blocks_segments(self, calls):
+        """``_SlotReuse`` holds, per block, the segments of its latest
+        execution (``cur``) and of its first (``first``) — checked
+        against a per-block dict after every execution."""
+        state = _SlotReuse()
+        latest, first = {}, {}
+        for call in calls:
+            state.update(np.asarray(
+                [b * _SEG_TAG + seg for b in sorted(call)
+                 for seg in call[b]], dtype=np.int64))
+            for b, segs in call.items():
+                latest[b] = segs
+                first.setdefault(b, segs)
+            assert state.cur.tolist() == [
+                b * _SEG_TAG + seg for b in sorted(latest)
+                for seg in latest[b]]
+            assert state.blocks == set(latest)
+            assert state.seen == set(first)
+            assert {b: v.tolist() for b, v in state.first.items()} == first

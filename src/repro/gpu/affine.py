@@ -59,12 +59,9 @@ class LaneAffine(NamedTuple):
     ``stride`` is the per-lane index step — an ``int``, or a
     launch-uniform :class:`~repro.gpu.kernelir.Expr` (constants,
     parameters, launch geometry) the executor evaluates per launch.
-    ``warp_ctl`` is true when no enclosing condition diverges within a
-    warp, so every region mask reaching the access is whole warps.
     """
 
     stride: object
-    warp_ctl: bool
 
 
 #: geometry specials that are the same for every thread of a launch
@@ -135,7 +132,7 @@ class _Analysis:
         self.defs_of: dict[int, frozenset] = {}
         #: forms of conditions and indices once the registers' are final
         self.final: dict[int, object] = {}
-        #: loop body walks by (loop, entry state, control)
+        #: loop body walks by (loop, entry state)
         self.bodies: dict[tuple, set] = {}
         self.out: dict[int, LaneAffine | None] = {}
 
@@ -264,15 +261,15 @@ class _Analysis:
         return f is None or f is _BOT or f[0] != 0 \
             or not self.regs(cond).isdisjoint(inc)
 
-    def record(self, s, inc, ctl: bool) -> None:
+    def record(self, s, inc) -> None:
         # a loop body is walked once per fixed-point round, with states
         # that only grow: the last visit is the most conservative one
         f = self.final_form(s.index)
         ok = f is not None and f is not _BOT \
             and self.regs(s.index).isdisjoint(inc)
-        self.out[id(s)] = LaneAffine(f[0], ctl) if ok else None
+        self.out[id(s)] = LaneAffine(f[0]) if ok else None
 
-    def walk(self, stmts: tuple, inc: set, ctl: bool) -> set:
+    def walk(self, stmts: tuple, inc: set) -> set:
         """Incoherent registers after ``stmts``, entered with ``inc``."""
         for s in stmts:
             if isinstance(s, K.Assign):
@@ -281,11 +278,11 @@ class _Analysis:
                 else:
                     inc.add(s.dst)
             elif isinstance(s, (K.GLoad, K.GStore, K.SLoad, K.SStore)):
-                self.record(s, inc, ctl)
+                self.record(s, inc)
             elif isinstance(s, K.If):
                 div = self.divergent(s.cond, inc)
-                t = self.walk(s.then, set(inc), ctl and not div)
-                e = self.walk(s.orelse, set(inc), ctl and not div)
+                t = self.walk(s.then, set(inc))
+                e = self.walk(s.orelse, set(inc))
                 inc = t | e
                 if div:
                     inc |= self.defs(s.then) | self.defs(s.orelse)
@@ -296,13 +293,13 @@ class _Analysis:
                 while True:
                     div = isinstance(s, K.While) \
                         and self.divergent(s.cond, head)
-                    key = (id(s), frozenset(head), ctl and not div)
+                    key = (id(s), frozenset(head))
                     out = self.bodies.get(key)
                     if out is None:
                         # an enclosing loop's later rounds re-enter with
                         # the same state: same walk, same verdicts
                         out = self.bodies[key] = self.walk(
-                            s.body, set(head), ctl and not div)
+                            s.body, set(head))
                     new = head | out
                     if new == head:
                         break
@@ -325,7 +322,7 @@ def lane_affine_stmts(kernel: K.Kernel) -> dict:
         return hit[1]
     a = _Analysis(kernel)
     a.solve_forms()
-    a.walk(kernel.body, set(), True)
+    a.walk(kernel.body, set())
     out = {k: v for k, v in a.out.items() if v is not None}
     if len(_VERDICTS) >= 16:
         _VERDICTS.clear()
@@ -334,5 +331,7 @@ def lane_affine_stmts(kernel: K.Kernel) -> dict:
 
 
 #: ``id(kernel) -> (kernel, verdicts)``; holding the kernel keeps its id
-#: from being reused while the entry lives
+#: from being reused while the entry lives.  Device threads share it: an
+#: entry is read once and checked by identity, and a race between two
+#: threads only analyzes a kernel twice
 _VERDICTS: dict[int, tuple] = {}

@@ -47,7 +47,8 @@ from repro.gpu.executor import (
     _watchdog_trip, _stmt_slots,
 )
 from repro.gpu.memory import (
-    BatchedSharedMemory, GlobalMemory, finalize_segment_reuse, warp_runs,
+    AffineAccess, BatchedSharedMemory, GlobalMemory, RunsMemo,
+    finalize_segment_reuse, warp_runs,
 )
 
 __all__ = ["BatchedBlockEnv", "run_batched", "DEFAULT_BLOCK_BATCH",
@@ -212,7 +213,7 @@ class BatchedBlockEnv:
         "gmem", "smem", "stats", "params", "block_mask", "trace",
         "block_index", "seg_cache", "kernel_name", "steps",
         "watchdog_budget", "stuck", "check", "attr", "warp_size",
-        "affine_ok",
+        "affine_ok", "runs_memo",
     )
 
     def __init__(self, bdx: int, bdy: int, gdx: int, block_ids: np.ndarray,
@@ -236,6 +237,7 @@ class BatchedBlockEnv:
         #: lane-affine verdicts hold: lane l of a warp has tx = x0 + l
         #: and a warp-uniform ty (see repro.gpu.affine)
         self.affine_ok = bdx % warp_size == 0
+        self.runs_memo = RunsMemo()
         # block-qualified warp ids: distinct across the chunk's blocks so
         # (warp, segment) request keys never merge between blocks
         self.warpkey = (np.arange(nb, dtype=np.int64)[:, None]
@@ -282,12 +284,22 @@ def _stride_fn(aff):
     return lambda env: int(fc(env))
 
 
-def _runs(env: BatchedBlockEnv, fs, idx: np.ndarray, mask: np.ndarray):
-    """:class:`~repro.gpu.memory.WarpRuns` of a lane-affine access on
-    this launch, or None when it takes the enumerated per-lane path."""
+def _affine(env: BatchedBlockEnv, fs, idx: np.ndarray, mask: np.ndarray):
+    """The :class:`~repro.gpu.memory.AffineAccess` of a lane-affine
+    access on this launch, or None when it is counted per lane."""
     if fs is None or not env.affine_ok:
         return None
-    return warp_runs(idx, mask, env.block_ids, env.warp_size, fs(env))
+    return AffineAccess(idx, mask, env.block_ids, fs(env), False,
+                        env.runs_memo)
+
+
+def _uniform_runs(env: BatchedBlockEnv, aff):
+    """Warp runs of a warp-uniform (stride-0) access for the cross-block
+    hazard check — one representative index per active warp — or None
+    when the check must look at every lane."""
+    if aff is None or aff.stride != 0:
+        return None
+    return warp_runs(aff, env.warp_size)
 
 
 def _compact_env(env: BatchedBlockEnv, idx: np.ndarray) -> BatchedBlockEnv:
@@ -307,6 +319,7 @@ def _compact_env(env: BatchedBlockEnv, idx: np.ndarray) -> BatchedBlockEnv:
     sub.bdx, sub.bdy, sub.gdx, sub.ntid = env.bdx, env.bdy, env.gdx, env.ntid
     sub.warp_starts, sub.nwarps = env.warp_starts, env.nwarps
     sub.warp_size, sub.affine_ok = env.warp_size, env.affine_ok
+    sub.runs_memo = env.runs_memo
     sub.bx = env.bx[idx]
     sub.warpkey = env.warpkey[idx]
     sub.block_of = env.block_of[idx]
@@ -415,7 +428,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
             if idx.shape != mask.shape:
                 idx = np.broadcast_to(idx, mask.shape)
             act = blk = None
-            runs = _runs(env, fs, idx, mask)
+            aff = _affine(env, fs, idx, mask)
             if env.check is not None and (state := env.check.get(buf)) \
                     is not None:
                 # reading a location a *later* block wrote breaks the
@@ -432,7 +445,8 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                 # Out-of-range indices are clamped here; the load itself
                 # raises the real OutOfBoundsError just below.
                 owners, maxread = state
-                if runs is not None and runs.stride == 0:
+                runs = _uniform_runs(env, aff)
+                if runs is not None:
                     # one index per warp: its first active lane stands
                     # in for every lane of the warp
                     rep, rblk = runs.rep, runs.rblk
@@ -453,7 +467,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
             out = env.gmem.load_batched(
                 buf, idx, mask, env.warpkey, env.block_of, env.block_ids,
                 env.stats, reuse=(env.seg_cache, slot), act=act,
-                act_block=blk, runs=runs)
+                act_block=blk, affine=aff)
             if a is not None:
                 r = a.row(sid)
                 r.execs += int(mask.any(axis=1).sum())
@@ -490,7 +504,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
             if val.shape != mask.shape:
                 val = np.broadcast_to(val, mask.shape)
             act = blk = None
-            runs = _runs(env, fs, idx, mask)
+            aff = _affine(env, fs, idx, mask)
             if env.check is not None and (state := env.check.get(buf)) \
                     is not None:
                 # claim locations for the writing block.  Hazards: the
@@ -500,7 +514,8 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                 # collisions need no flag: the highest block wins in both
                 # executors.
                 owners, maxread = state
-                if runs is not None and runs.stride == 0:
+                runs = _uniform_runs(env, aff)
+                if runs is not None:
                     rep, rblk = runs.rep, runs.rblk
                 else:
                     act = idx[mask]
@@ -517,7 +532,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
             env.gmem.store_batched(
                 buf, idx, val, mask, env.warpkey, env.block_of, env.stats,
                 reuse=(env.seg_cache, slot), act=act, act_block=blk,
-                runs=runs)
+                affine=aff)
             if a is not None:
                 r = a.row(sid)
                 r.execs += int(mask.any(axis=1).sum())
@@ -546,7 +561,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                 fr = env.smem.faults
                 f0 = len(fr.records) if fr is not None else 0
             out = env.smem.load(arr, idx, mask, env.warpkey, env.rows,
-                                _runs(env, fs, idx, mask))
+                                _affine(env, fs, idx, mask))
             if a is not None:
                 r = a.row(sid)
                 r.execs += int(mask.any(axis=1).sum())
@@ -576,7 +591,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                 st = env.stats
                 s0, c0 = st.shared_accesses, st.bank_conflict_extra
             env.smem.store(arr, idx, val, mask, env.warpkey, env.rows,
-                           _runs(env, fs, idx, mask))
+                           _affine(env, fs, idx, mask))
             if a is not None:
                 r = a.row(sid)
                 r.execs += int(mask.any(axis=1).sum())

@@ -57,7 +57,7 @@ from repro.gpu.executor_batched import (
     _expand_env, _warps_per_block, _watchdog_trip, analyze_batch_safety,
 )
 from repro.gpu.memory import (
-    BatchedSharedMemory, GlobalMemory, WarpRuns, finalize_segment_reuse,
+    AffineAccess, BatchedSharedMemory, GlobalMemory, finalize_segment_reuse,
     warp_runs,
 )
 from repro.gpu.events import KernelStats
@@ -158,13 +158,6 @@ def analyze_trace_safety(kernel: K.Kernel) -> TraceSafety:
     return TraceSafety(True, "")
 
 
-#: thread-geometry specials that vary across the lanes of one *warp*
-#: (``ty`` is constant within a warp whenever ``blockDim.x`` is a
-#: multiple of the warp size — the runtime guard the emitter adds);
-#: a warp-representative expression must not contain them
-_WARP_VARYING_SPECIALS = frozenset({"tx", "tid"})
-
-
 # --------------------------------------------------------------------------
 # runtime helpers (bound into the generated code's globals)
 # --------------------------------------------------------------------------
@@ -250,47 +243,56 @@ def _lanes(a: np.ndarray, mi) -> np.ndarray:
     return a if mi is None else a.take(mi)
 
 
-def _runs_of(E, idx, m, mi, st):
-    """Warp runs of a lane-affine access (``st`` is its stride, None
-    when the access is varying or the launch fails the layout guard)."""
+def _affine(E, idx, m, mi, st):
+    """The :class:`~repro.gpu.memory.AffineAccess` of a lane-affine
+    access (``st`` is its stride, None when the access is varying or the
+    launch fails the layout guard)."""
     if st is None:
         return None
-    return warp_runs(idx, m, E.block_ids, E.warp_size, st, full=mi is None)
+    return AffineAccess(idx, m, E.block_ids, st, mi is None,
+                        E.runs_memo)
+
+
+def _hazard_lanes(E, aff, act, bf, mi):
+    """Indices and blocks the cross-block hazard check looks at: each
+    active warp's first lane for a warp-uniform (stride-0) access, else
+    every active lane."""
+    if aff is not None and aff.stride == 0:
+        runs = warp_runs(aff, E.warp_size)
+        if runs is not None:
+            return runs.rep, runs.rblk
+    return act, _lanes(E.block_of, mi) if bf is None else bf
 
 
 def _gload(E, name, buf, idx, m, mi, wk, bf, slot, check, st) -> None:
     """Global load for one region; mirrors the batched ``do_gload`` /
-    ``GlobalMemory.load_batched`` pair (bounds, hazard check, gather,
-    transaction accounting) with the region gathers precomputed.  ``wk``
-    and ``bf`` may be None when the region's accesses are all
-    lane-affine; the enumerated fallback then gathers them itself."""
+    ``GlobalMemory.load_batched`` pair (hazard check, then bounds check
+    and transaction accounting, then gather) with the region gathers
+    precomputed.  ``wk``
+    and ``bf`` are None when the region's accesses are all lane-affine;
+    the paths that need them gather them here."""
     gm = E.gmem
     shp = m.shape
     idx = np.asarray(idx)
     if idx.shape != shp:
         idx = np.broadcast_to(idx, shp)
     act = idx.reshape(-1) if mi is None else _act_of(idx, m, mi)
-    runs = _runs_of(E, idx, m, mi, st)
-    uniform = runs is not None and runs.stride == 0
-    if bf is None and not uniform:
-        bf = _lanes(E.block_of, mi)
+    aff = _affine(E, idx, m, mi, st)
     if check is not None:
         owners, maxread = check
-        # a uniform index: each warp's first active lane stands in for it
-        rep, rb = (runs.rep, runs.rblk) if uniform else (act, bf)
+        rep, rb = _hazard_lanes(E, aff, act, bf, mi)
         ci = np.minimum(rep, owners.size - 1)
         own = owners[ci]
         if ((own != -1) & (own > rb)).any():
             raise _BatchHazard(buf.name)
         maxread[ci] = np.maximum(rb, maxread[ci])
-    if not gm._check_bounds(buf, act, runs):
-        runs = None
-    vals = buf.data[act]
-    if runs is None:
+    if aff is None:
         wk = _lanes(E.warpkey, mi) if wk is None else wk
         bf = _lanes(E.block_of, mi) if bf is None else bf
+    # checks bounds before the gather
     gm._count_transactions_batched(buf, act, wk, bf, E.stats,
-                                   reuse=(E.seg_cache, slot), runs=runs)
+                                   reuse=(E.seg_cache, slot), affine=aff)
+    vals = buf.data[act]
     if mi is None:
         E.regs[name] = vals.reshape(shp)
     else:
@@ -304,64 +306,6 @@ def _gload(E, name, buf, idx, m, mi, wk, bf, slot, check, st) -> None:
         reg.reshape(-1)[mi] = vals
 
 
-def _gload_w(E, name, buf, idxw, m, full, slot, check, ws) -> None:
-    """Per-warp-uniform global load (static verdict + runtime guard).
-
-    ``idxw`` was evaluated on warp-representative slices — one column
-    per warp — so no per-lane index array is ever materialized.  Only
-    reached when ``blockDim.x % warp_size == 0`` and the static verdict
-    is stride 0 under warp-uniform control
-    (:func:`~repro.gpu.affine.lane_affine_stmts`): each warp's lanes
-    share one index value and the region mask is constant within each
-    warp, so active warps (and their first lanes) stand in for active
-    lanes — the stride-0 case of the closed-form accounting, with whole
-    warps as runs; the hazard check and the bounds check see the same
-    index values in the same order as the per-lane path.
-    """
-    gm = E.gmem
-    shp = m.shape
-    nb = shp[0]
-    nw = shp[1] // ws
-    idxw = np.asarray(idxw)
-    if idxw.shape != (nb, nw):
-        idxw = np.broadcast_to(idxw, (nb, nw))
-    if not idxw.flags["C_CONTIGUOUS"]:
-        idxw = np.ascontiguousarray(idxw)
-    if full:
-        rep = idxw.reshape(-1)
-        rblk = np.repeat(E.block_ids, nw)
-        miw = None
-    else:
-        miw = np.flatnonzero(np.ascontiguousarray(m[:, ::ws]).reshape(-1))
-        rep = idxw.reshape(-1).take(miw)
-        rblk = E.block_ids[miw // nw]
-    if check is not None:
-        owners, maxread = check
-        ci = np.minimum(rep, owners.size - 1)
-        own = owners[ci]
-        if ((own != -1) & (own > rblk)).any():
-            raise _BatchHazard(buf.name)
-        maxread[ci] = np.maximum(rblk, maxread[ci])
-    gm._check_bounds(buf, rep)
-    vals = buf.data[rep]
-    gm._count_transactions_batched(buf, None, None, None, E.stats,
-                                   reuse=(E.seg_cache, slot),
-                                   runs=WarpRuns(rep, rblk, ws, 0))
-    if miw is None:
-        out = np.empty(shp, dtype=vals.dtype)
-        out.reshape(nb, nw, ws)[...] = vals.reshape(nb, nw)[:, :, None]
-        E.regs[name] = out
-    else:
-        reg = E.regs.get(name)
-        if reg is None or reg.dtype != vals.dtype:
-            base = np.zeros(shp, dtype=vals.dtype)
-            if reg is not None:
-                np.copyto(base, reg, casting="unsafe")
-            E.regs[name] = base
-            reg = base
-        reg.reshape(nb * nw, ws)[miw] = vals[:, None]
-
-
 def _gstore(E, buf, idx, val, m, mi, wk, bf, slot, check, st) -> None:
     """Global store for one region; mirrors ``do_gstore`` /
     ``store_batched`` (cast-then-gather value order, hazard claim before
@@ -372,14 +316,10 @@ def _gstore(E, buf, idx, val, m, mi, wk, bf, slot, check, st) -> None:
     if idx.shape != shp:
         idx = np.broadcast_to(idx, shp)
     act = idx.reshape(-1) if mi is None else _act_of(idx, m, mi)
-    runs = _runs_of(E, idx, m, mi, st)
-    uniform = runs is not None and runs.stride == 0
-    if bf is None and not uniform:
-        bf = _lanes(E.block_of, mi)
+    aff = _affine(E, idx, m, mi, st)
     if check is not None:
         owners, maxread = check
-        # a uniform index: each warp's first active lane stands in for it
-        rep, rb = (runs.rep, runs.rblk) if uniform else (act, bf)
+        rep, rb = _hazard_lanes(E, aff, act, bf, mi)
         ci = np.minimum(rep, owners.size - 1)
         own = owners[ci]
         if ((own != -1) & (own != rb)).any():
@@ -387,18 +327,17 @@ def _gstore(E, buf, idx, val, m, mi, wk, bf, slot, check, st) -> None:
         if (maxread[ci] > rb).any():
             raise _BatchHazard(buf.name)
         owners[ci] = rb
-    if not gm._check_bounds(buf, act, runs):
-        runs = None
+    if aff is None:
+        wk = _lanes(E.warpkey, mi) if wk is None else wk
+        bf = _lanes(E.block_of, mi) if bf is None else bf
+    # checks bounds before the scatter
+    gm._count_transactions_batched(buf, act, wk, bf, E.stats,
+                                   reuse=(E.seg_cache, slot), affine=aff)
     sv = np.asarray(val)
     if sv.shape != shp:
         sv = np.broadcast_to(sv, shp)
     sv = np.asarray(sv, dtype=buf.dtype.np)
     buf.data[act] = sv.reshape(-1) if mi is None else _act_of(sv, m, mi)
-    if runs is None:
-        wk = _lanes(E.warpkey, mi) if wk is None else wk
-        bf = _lanes(E.block_of, mi) if bf is None else bf
-    gm._count_transactions_batched(buf, act, wk, bf, E.stats,
-                                   reuse=(E.seg_cache, slot), runs=runs)
 
 
 def _sbounds(name: str, size: int, act: np.ndarray) -> None:
@@ -411,15 +350,12 @@ def _sbounds(name: str, size: int, act: np.ndarray) -> None:
         )
 
 
-def _sbanks(E, arr, size, idx, act, m, mi, wk, st) -> None:
-    """Bank accounting of one shared access (closed form when it is
-    lane-affine and its index arithmetic did not wrap)."""
-    runs = _runs_of(E, idx, m, mi, st)
-    if runs is not None and not runs.within(size):
-        runs = None
-    if runs is None and wk is None:
+def _sbanks(E, arr, idx, act, m, mi, wk, st) -> None:
+    """Bank accounting of one shared access."""
+    aff = _affine(E, idx, m, mi, st)
+    if aff is None and wk is None:
         wk = _lanes(E.warpkey, mi)
-    E.smem._count_banks(arr, act, wk, runs)
+    E.smem._count_banks(arr, act, wk, aff)
 
 
 def _sload(E, name, arr, idx, m, mi, wk, rw, st) -> None:
@@ -434,7 +370,7 @@ def _sload(E, name, arr, idx, m, mi, wk, rw, st) -> None:
     act = idx.reshape(-1) if mi is None else _act_of(idx, m, mi)
     _sbounds(arr, a.shape[1], act)
     vals = a[rw, act]
-    _sbanks(E, arr, a.shape[1], idx, act, m, mi, wk, st)
+    _sbanks(E, arr, idx, act, m, mi, wk, st)
     if mi is None:
         E.regs[name] = vals.reshape(shp)
     else:
@@ -462,7 +398,7 @@ def _sstore(E, arr, idx, val, m, mi, wk, rw, st) -> None:
         sv = np.broadcast_to(sv, shp)
     sv = np.asarray(sv, dtype=a.dtype)
     a[rw, act] = sv.reshape(-1) if mi is None else _act_of(sv, m, mi)
-    _sbanks(E, arr, a.shape[1], idx, act, m, mi, wk, st)
+    _sbanks(E, arr, idx, act, m, mi, wk, st)
 
 
 def _shfl(E, dst, src, delta, ws, m, full) -> None:
@@ -526,7 +462,7 @@ _BASE_GLOBALS = {
     "DT_b": np.dtype(np.bool_),
     "_bc": _bc, "_fresh": _fresh, "_full": _full, "_massign": _massign,
     "_cast": _cast, "_param": _param, "_attr_global": _attr_global,
-    "_gload": _gload, "_gload_w": _gload_w,
+    "_gload": _gload,
     "_gstore": _gstore,
     "_sload": _sload, "_sstore": _sstore, "_shfl": _shfl, "_sync": _sync,
     "_flat": np.flatnonzero,
@@ -628,10 +564,8 @@ class _Emitter:
 
     # -- expressions ------------------------------------------------------
 
-    def expr(self, e: K.Expr, rep: bool = False) -> str:
-        """One expression; ``rep=True`` evaluates on warp-representative
-        slices (one column per warp) — only valid for indices with a
-        stride-0 lane-affine verdict under warp-uniform control."""
+    def expr(self, e: K.Expr) -> str:
+        """One expression over the chunk's ``(blocks, threads)`` lanes."""
         if isinstance(e, K.Const):
             ctor = _CONST_CTORS[e.dtype.np]
             if e.dtype.np.kind == "f":
@@ -643,42 +577,34 @@ class _Emitter:
                 return f"{ctor}({bool(e.value)!r})"
             return f"{ctor}({int(e.value)!r})"
         if isinstance(e, K.Reg):
-            if rep:
-                return f"R[{e.name!r}][:, ::{int(self.device.warp_size)}]"
             return f"R[{e.name!r}]"
         if isinstance(e, K.Special):
-            if rep and e.kind in _WARP_VARYING_SPECIALS:
-                raise SimulationError(
-                    f"special {e.kind!r} in a warp-representative "
-                    "expression (analysis bug)")
-            if rep and e.kind == "ty":
-                return f"TY[::{int(self.device.warp_size)}]"
             return _SPECIAL_NAMES[e.kind]
         if isinstance(e, K.Param):
             self.params.add(e.name)
             return f"P_{e.name}"
         if isinstance(e, K.Bin):
-            a, b = self.expr(e.a, rep), self.expr(e.b, rep)
+            a, b = self.expr(e.a), self.expr(e.b)
             if e.op == "&&":
                 return f"(TRU(ASR({a})) & TRU(ASR({b})))"
             if e.op == "||":
                 return f"(TRU(ASR({a})) | TRU(ASR({b})))"
             return f"{_BINOP_NAMES[e.op]}({a}, {b})"
         if isinstance(e, K.Un):
-            a = self.expr(e.a, rep)
+            a = self.expr(e.a)
             if e.op == "neg":
                 return f"NEG({a})"
             if e.op == "not":
                 return f"(~TRU(ASR({a})))"
             return f"INV({a})"
         if isinstance(e, K.Call):
-            args = ", ".join(self.expr(a, rep) for a in e.args)
+            args = ", ".join(self.expr(a) for a in e.args)
             return f"C_{e.fn}({args})"
         if isinstance(e, K.Cast):
-            return f"_cast({self.expr(e.a, rep)}, {_DTYPE_NAMES[e.dtype.np]})"
+            return f"_cast({self.expr(e.a)}, {_DTYPE_NAMES[e.dtype.np]})"
         if isinstance(e, K.Select):
-            c = self.expr(e.cond, rep)
-            a, b = self.expr(e.a, rep), self.expr(e.b, rep)
+            c = self.expr(e.cond)
+            a, b = self.expr(e.a), self.expr(e.b)
             return f"WHERE(TRU(ASR({c})), {a}, {b})"
         raise SimulationError(f"unknown expression node {e!r}")
 
@@ -689,12 +615,6 @@ class _Emitter:
         need_s = any(isinstance(s, (K.SLoad, K.SStore)) for s in stmts)
         need_attr = any(not isinstance(s, (K.Comment, K.Sync))
                         for s in stmts)
-        # when every memory statement of the region takes the
-        # warp-representative path, the per-lane gathers are dead weight
-        # on the WOK path — emit them only for the fallback layout
-        wonly = need_g and not need_s and all(
-            self.warp_rep(s)
-            for s in stmts if isinstance(s, (K.GLoad, K.GStore)))
         # warp keys and lane blocks only feed the enumerated accounting:
         # lane-affine accesses gather them lazily when they fall back
         varying = [s for s in stmts
@@ -718,10 +638,6 @@ class _Emitter:
                 r.rw = f"rw{u}"
                 gather_full.append(f"{r.rw} = RWr")
                 gather_part.append(f"{r.rw} = RWr.take({r.mi})")
-            if wonly:
-                self.used_wok = True
-                self.w("if not WOK:")
-                self.ind += 1
             if r.f == "True":
                 self.w("; ".join(gather_full))
             else:
@@ -732,8 +648,6 @@ class _Emitter:
                 self.w("else:")
                 self.ind += 1
                 self.w("; ".join(gather_part))
-                self.ind -= 1
-            if wonly:
                 self.ind -= 1
         if need_attr:
             u = self.fresh()
@@ -753,13 +667,6 @@ class _Emitter:
                        f"{r.el} = int({r.m}.sum())")
                 self.ind -= 1
             self.ind -= 1
-
-    def warp_rep(self, s) -> bool:
-        """Whether a global access takes the warp-representative load:
-        a stride-0 GLoad under warp-uniform control."""
-        aff = self.affine.get(id(s))
-        return isinstance(s, K.GLoad) and aff is not None \
-            and aff.stride == 0 and aff.warp_ctl
 
     def stride(self, s) -> str:
         """The generated name holding an access's lane stride for this
@@ -848,26 +755,9 @@ class _Emitter:
         self.bufs.add(s.buf)
         self.w(f"ST.warp_inst_slots += {r.aws}")
         self._global_pre()
-        call = (f"_gload(E, {s.dst!r}, B_{s.buf}, ix{u}, {r.m}, {r.mi}, "
-                f"{r.wk}, {r.bf}, {slot}, CK_{s.buf}, {self.stride(s)})")
-        if self.warp_rep(s):
-            # warp-representative path, guarded on the runtime layout
-            # condition that makes ``ty`` warp-uniform
-            self.w("if WOK:")
-            self.ind += 1
-            self.w(f"ix{u} = {self.expr(s.index, rep=True)}")
-            self.w(f"_gload_w(E, {s.dst!r}, B_{s.buf}, ix{u}, {r.m}, "
-                   f"{r.f}, {slot}, CK_{s.buf}, "
-                   f"{int(self.device.warp_size)})")
-            self.ind -= 1
-            self.w("else:")
-            self.ind += 1
-            self.w(f"ix{u} = {self.expr(s.index)}")
-            self.w(call)
-            self.ind -= 1
-        else:
-            self.w(f"ix{u} = {self.expr(s.index)}")
-            self.w(call)
+        self.w(f"ix{u} = {self.expr(s.index)}")
+        self.w(f"_gload(E, {s.dst!r}, B_{s.buf}, ix{u}, {r.m}, {r.mi}, "
+               f"{r.wk}, {r.bf}, {slot}, CK_{s.buf}, {self.stride(s)})")
         self.attr_row(r, s.sid,
                       ("_attr_global(_r, ST, _g0, _l0, _b0, _d0)",))
 

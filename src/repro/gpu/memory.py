@@ -15,14 +15,21 @@ paper rejects (Fig. 6(b) / 8(b)) pay for themselves here.
 
 Two ways to count, one result.  The per-lane path maps every active lane
 to its segment (or bank word) and deduplicates; the reference executor
-always uses it, as the oracle.  The block-axis executors pass
-:class:`WarpRuns` instead for accesses the static lane-affine verdict
-(:mod:`repro.gpu.affine`) covers: per active warp, one representative
-index, its contiguous run length and the launch-uniform lane stride.
-Segment ranges, warp requests, the block-tagged segment set, the bounds
-check and shared-bank conflict degrees then follow in closed form at
-O(active warps) cost.  The block-tagged segment set is identical on both
-paths, so the segment-reuse state and its launch-end replay
+always uses it, as the oracle.  For accesses the static lane-affine
+verdict (:mod:`repro.gpu.affine`) covers, the block-axis executors hand
+the counting entry points (:meth:`GlobalMemory._count_transactions_batched`,
+:meth:`SharedMemory._count_banks`) an :class:`AffineAccess` as well.
+The entry point reduces the access to :class:`WarpRuns` — per active
+warp, one representative index, its contiguous run length and the
+launch-uniform lane stride — and the bounds check, segment ranges, warp
+requests, the block-tagged segment set and shared-bank conflict degrees
+follow in closed form at O(active warps) cost; a loop's repeat of a
+statement whose indices all moved by a whole number of segments shifts
+the previous execution's result instead.  A warp whose active
+lanes are not one contiguous run, or an index whose int32 arithmetic
+wrapped, falls back to the per-lane path inside the same call.  The
+block-tagged segment set is identical on both paths, so the
+segment-reuse state and its launch-end replay
 (:func:`finalize_segment_reuse`) cannot tell them apart.  See
 ``docs/cost-model.md``, "How the counters are computed".
 
@@ -45,15 +52,10 @@ from repro.gpu.device import DeviceProperties
 from repro.gpu.events import KernelStats
 
 __all__ = ["Buffer", "GlobalMemory", "SharedMemory", "BatchedSharedMemory",
-           "WarpRuns", "warp_runs", "finalize_segment_reuse"]
+           "AffineAccess", "RunsMemo", "WarpRuns", "warp_runs",
+           "finalize_segment_reuse"]
 
 _ALIGN = 256
-
-# bare ufunc reductions: the hot accounting paths run them on arrays of a
-# few dozen warps, where the ndarray-method wrappers cost as much as the
-# reduction itself
-_add, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
-_all, _any = np.logical_and.reduce, np.logical_or.reduce
 
 #: tag multiplier separating the block id from the segment id in the
 #: batched segment-reuse bookkeeping; segment ids are byte address //
@@ -200,26 +202,14 @@ class GlobalMemory:
     # -- internals -----------------------------------------------------------
 
     @staticmethod
-    def _check_bounds(buf: Buffer, act: np.ndarray,
-                      runs: WarpRuns | None = None) -> bool:
-        """Raise on the first out-of-range active index (lane order).
-
-        With ``runs`` the extremes come from each warp's first and last
-        lane in closed form; only a failing access looks at every lane,
-        so the error names the same index as the per-lane scan.  Returns
-        whether ``runs`` holds: when the closed form is out of range but
-        every lane is in range, the int32 index arithmetic wrapped
-        within a warp, and the caller must count per lane.
-        """
-        if runs is not None and runs.within(buf.size):
-            return True
+    def _check_bounds(buf: Buffer, act: np.ndarray) -> None:
+        """Raise on the first out-of-range active index (lane order)."""
         if act.size and (act.min() < 0 or act.max() >= buf.size):
             bad = act[(act < 0) | (act >= buf.size)][0]
             raise OutOfBoundsError(
                 f"index {int(bad)} out of bounds for buffer "
                 f"{buf.name!r} of size {buf.size}"
             )
-        return False
 
     def _count_transactions(self, buf: Buffer, act_idx: np.ndarray,
                             act_warp: np.ndarray, stats: KernelStats,
@@ -268,7 +258,7 @@ class GlobalMemory:
                      reuse: tuple | None = None,
                      act: np.ndarray | None = None,
                      act_block: np.ndarray | None = None,
-                     runs: WarpRuns | None = None) -> np.ndarray:
+                     affine: AffineAccess | None = None) -> np.ndarray:
         """Gather ``buffer[idx]`` for all active lanes of a block chunk.
 
         ``idx``/``mask`` are ``(blocks, threads)``; ``warpkey`` is an
@@ -279,26 +269,23 @@ class GlobalMemory:
         block's access through :meth:`load` in block order.  ``act`` /
         ``act_block`` let a caller that already gathered ``idx[mask]`` /
         ``block_of[mask]`` (the checked executor path) avoid the second
-        masked gather.  ``runs`` — the :func:`warp_runs` of a lane-affine
-        access — replaces the per-lane bounds check and transaction count
-        with closed forms (see :meth:`_count_transactions_batched`).
+        masked gather.  ``affine`` marks a lane-affine access, counted in
+        closed form (see :meth:`_count_transactions_batched`).
         """
         buf = self[name]
         if act is None:
             act = idx[mask]
         out = np.zeros(idx.shape, dtype=buf.dtype.np)
         if act.size:
-            if not self._check_bounds(buf, act, runs):
-                runs = None
-            out[mask] = buf.data[act]
-            if runs is not None:
-                self._count_transactions_batched(buf, act, None, None,
-                                                 stats, reuse, runs)
-            else:
+            wk = None
+            if affine is None:
+                wk = warpkey[mask]
                 if act_block is None:
                     act_block = block_of[mask]
-                self._count_transactions_batched(buf, act, warpkey[mask],
-                                                 act_block, stats, reuse)
+            # checks bounds before the gather
+            self._count_transactions_batched(buf, act, wk, act_block, stats,
+                                             reuse, affine)
+            out[mask] = buf.data[act]
             if self.faults is not None:
                 for i in np.flatnonzero(mask.any(axis=1)):
                     self.faults.on_gload(name, out[i], mask[i],
@@ -311,7 +298,7 @@ class GlobalMemory:
                       reuse: tuple | None = None,
                       act: np.ndarray | None = None,
                       act_block: np.ndarray | None = None,
-                      runs: WarpRuns | None = None) -> None:
+                      affine: AffineAccess | None = None) -> None:
         """Scatter ``buffer[idx] = values`` for a block chunk.
 
         Duplicate indices resolve exactly as the reference path: NumPy
@@ -324,25 +311,28 @@ class GlobalMemory:
             act = idx[mask]
         if not act.size:
             return
-        if not self._check_bounds(buf, act, runs):
-            runs = None
+        wk = None
+        if affine is None:
+            wk = warpkey[mask]
+            if act_block is None:
+                act_block = block_of[mask]
+        # checks bounds before the scatter
+        self._count_transactions_batched(buf, act, wk, act_block, stats,
+                                         reuse, affine)
         buf.data[act] = np.asarray(values, dtype=buf.dtype.np)[mask]
-        if runs is not None:
-            self._count_transactions_batched(buf, act, None, None, stats,
-                                             reuse, runs)
-            return
-        if act_block is None:
-            act_block = block_of[mask]
-        self._count_transactions_batched(buf, act, warpkey[mask],
-                                         act_block, stats, reuse)
 
     def _count_transactions_batched(self, buf: Buffer, act_idx: np.ndarray,
                                     act_warpkey: np.ndarray | None,
                                     act_block: np.ndarray | None,
                                     stats: KernelStats,
                                     reuse: tuple | None = None,
-                                    runs: WarpRuns | None = None) -> None:
-        """Block-axis version of :meth:`_count_transactions`.
+                                    affine: AffineAccess | None = None
+                                    ) -> None:
+        """Bounds check and block-axis version of :meth:`_count_transactions`.
+
+        The bounds check comes first and raises before any counter or
+        reuse state changes, so callers count before they gather or
+        scatter.
 
         Warp requests use block-qualified warp keys, so per-warp segment
         sets never merge across blocks and ``requests`` equals the sum of
@@ -357,18 +347,37 @@ class GlobalMemory:
         launch end and moves the overlap from DRAM to L2, restoring
         bit-identical totals.
 
-        ``runs`` (:class:`WarpRuns`, from a static lane-affine verdict)
-        replaces the per-lane keys with a closed form: ``act_idx``,
-        ``act_warpkey`` and ``act_block`` are then unused (see
-        :meth:`_runs_segments`).  Either way the block-tagged segment set
-        is the same sorted array, so the reuse bookkeeping below cannot
-        tell the two paths apart.
+        ``affine`` (:class:`AffineAccess`, from a static lane-affine
+        verdict) replaces the per-lane keys with a closed form over the
+        access's :func:`warp_runs` (see :meth:`_runs_segments`);
+        ``act_warpkey`` and ``act_block`` may then be None.  When the runs
+        do not exist (a gap in some warp's active lanes) or reach outside
+        the buffer while the lanes do not (int32 index arithmetic that
+        wrapped within a warp), the access is checked and counted per
+        lane.  Either way the block-tagged segment set is the same sorted
+        array, so the reuse bookkeeping below cannot tell the two paths
+        apart.
         """
         tb = self.device.transaction_bytes
-        if runs is not None:
-            uniq_bseg, requests, lanes = self._runs_segments(buf, runs)
+        st = None
+        if reuse is not None:
+            cache, slot = reuse
+            st = cache.get(slot)
+            if st is None:
+                st = cache[slot] = _SlotReuse()
+        closed = None
+        if affine is not None:
+            runs = warp_runs(affine, self.device.warp_size)
+            if runs is not None:
+                closed = self._closed_form(buf, runs, st)
+        if closed is not None:
+            uniq_bseg, requests, lanes = closed
             nbytes = lanes * buf.data.itemsize
         else:
+            self._check_bounds(buf, act_idx)
+            if act_warpkey is None:
+                act_warpkey, act_block = _lane_keys(affine,
+                                                    self.device.warp_size)
             nbytes = int(act_idx.size) * buf.data.itemsize
             # in-place key arithmetic: each array below is a fresh
             # temporary, so the compound expressions are unrolled to
@@ -388,14 +397,10 @@ class GlobalMemory:
             bkey = act_block * _SEG_TAG
             bkey += seg
             uniq_bseg = _sorted_unique(bkey)
-        if reuse is not None:
-            cache, slot = reuse
-            st = cache.get(slot)
-            if st is None:
-                st = cache[slot] = _SlotReuse()
+        if st is not None:
             dram = int(uniq_bseg.size)
             if st.cur.size:
-                dram -= int(_add(_in_sorted(uniq_bseg, st.cur)))
+                dram -= int(_in_sorted(uniq_bseg, st.cur).sum())
             st.update(uniq_bseg)
         else:
             dram = int(uniq_bseg.size)
@@ -403,6 +408,51 @@ class GlobalMemory:
         stats.l2_transactions += requests - dram
         stats.global_bytes += nbytes
         stats.dram_bytes += dram * tb
+
+    def _closed_form(self, buf: Buffer, runs: WarpRuns,
+                     st: _SlotReuse | None):
+        """``(uniq_bseg, requests, lanes)`` of a lane-affine access, or
+        None when its closed-form index range leaves the buffer (the
+        caller then checks bounds and counts per lane).
+
+        Loops re-run a statement with the same active lanes and every
+        warp's index moved by the same ``d``.  When ``d`` elements are a
+        whole number of segments, each warp's segment range moves by
+        that many segments, so the previous execution's results (kept
+        in the statement's reuse state ``st``) give this one's: the
+        segment set shifted, the same requests and lanes, and the index
+        range shifted by ``d``.  Otherwise the ranges are computed by
+        :meth:`_runs_segments`.
+        """
+        prev = st.last_closed if st is not None else None
+        if prev is not None:
+            p_runs, p_lo, p_hi, p_uniq, p_req, p_lanes = prev
+            rep, p_rep = runs.rep, p_runs.rep
+            c, p_c = runs.count, p_runs.count
+            # count arrays come from the chunk's mask memo: the same
+            # object for the same active lanes
+            if rep.size == p_rep.size and runs.stride == p_runs.stride \
+                    and (c is p_c or isinstance(c, int)
+                         and isinstance(p_c, int) and c == p_c) \
+                    and (runs.rblk == p_runs.rblk).all():
+                d = int(rep[0]) - int(p_rep[0])
+                shift, rem = divmod(d * buf.data.itemsize,
+                                    self.device.transaction_bytes)
+                if not rem and 0 <= p_lo + d and p_hi + d < buf.size \
+                        and (rep - p_rep == d).all():
+                    uniq = p_uniq + shift
+                    st.last_closed = (runs, p_lo + d, p_hi + d, uniq,
+                                      p_req, p_lanes)
+                    return uniq, p_req, p_lanes
+        lo, hi = runs.index_range()
+        if lo < 0 or hi >= buf.size:
+            # out of range, or int32 index arithmetic that wrapped
+            # within a warp: the caller checks and counts per lane
+            return None
+        out = self._runs_segments(buf, runs)
+        if st is not None:
+            st.last_closed = (runs, lo, hi) + out
+        return out
 
     def _runs_segments(self, buf: Buffer,
                        runs: WarpRuns) -> tuple[np.ndarray, int, int]:
@@ -425,7 +475,7 @@ class GlobalMemory:
         nw = rep.size
         isz = buf.data.itemsize
         step = stride * isz
-        lanes = count * nw if isinstance(count, int) else int(_add(count))
+        lanes = count * nw if isinstance(count, int) else int(count.sum())
         addr = np.multiply(rep, isz, dtype=np.int64)
         addr += buf.base
         keys = rblk * _SEG_TAG
@@ -442,7 +492,7 @@ class GlobalMemory:
             extra += span
             extra //= tb  # segments per warp, minus one
             keys += seg
-            requests = int(_add(extra)) + nw
+            requests = int(extra.sum()) + nw
             if requests != nw:
                 extra += 1
                 keys = _expand_ranges(keys, extra, requests)
@@ -455,6 +505,67 @@ class GlobalMemory:
         j //= tb
         j += np.repeat(keys, cnt)
         return _sorted_unique(j), lanes, lanes
+
+
+class AffineAccess(NamedTuple):
+    """A lane-affine access over a ``(blocks, threads)`` chunk.
+
+    ``idx`` holds the per-lane indices (possibly a broadcast view),
+    ``mask`` the active lanes, ``block_ids`` each row's absolute block id
+    and ``full`` asserts an all-true mask.  The caller vouches (static
+    verdict of :mod:`repro.gpu.affine` plus ``blockDim.x % warp_size ==
+    0``) that within each warp the active lanes' indices step by
+    ``stride`` per lane.  ``memo`` is the executing chunk's
+    :class:`RunsMemo`.
+    """
+
+    idx: np.ndarray
+    mask: np.ndarray
+    block_ids: np.ndarray
+    stride: int
+    full: bool = False
+    memo: RunsMemo | None = None
+
+
+class RunsMemo:
+    """Mask analyses (:func:`_mask_runs`) of one executing block chunk.
+
+    Loops re-run statements under masks with the same active lanes, and
+    the statements of one region share one mask object.  So small masks
+    are kept by content (bounded in count), and the most recent bigger
+    one by identity — holding it keeps its id from being reused, and
+    executors never mutate a mask in place.  Each chunk owns one memo
+    and runs on one thread, so no memo is shared between threads.
+    """
+
+    #: masks up to this many lanes are kept by content
+    SMALL_LANES = 2048
+    SMALL_ENTRIES = 128
+
+    __slots__ = ("small", "mask", "found")
+
+    def __init__(self):
+        self.small: dict = {}
+        self.mask = None
+        self.found = None
+
+    def analyze(self, mask: np.ndarray, warp_size: int):
+        """:func:`_mask_runs` of ``mask``, computed at most once per
+        distinct small mask and per big mask object."""
+        if mask.size <= self.SMALL_LANES:
+            key = (mask.shape, mask.tobytes())
+            found = self.small.get(key, _MISSING)
+            if found is _MISSING:
+                if len(self.small) >= self.SMALL_ENTRIES:
+                    self.small.clear()
+                found = self.small[key] = _mask_runs(mask, warp_size)
+            return found
+        if self.mask is not mask:
+            self.mask, self.found = mask, _mask_runs(mask, warp_size)
+        return self.found
+
+
+_MISSING = object()
 
 
 class WarpRuns(NamedTuple):
@@ -480,7 +591,7 @@ class WarpRuns(NamedTuple):
     def index_range(self) -> tuple[int, int]:
         """Smallest and largest index any active lane touches."""
         rep, count, stride = self.rep, self.count, self.stride
-        lo, hi = int(_min(rep)), int(_max(rep))
+        lo, hi = int(rep.min()), int(rep.max())
         if stride and isinstance(count, int):
             if stride > 0:
                 hi += stride * (count - 1)
@@ -491,9 +602,9 @@ class WarpRuns(NamedTuple):
             end *= stride
             end += rep
             if stride > 0:
-                hi = int(_max(end))
+                hi = int(end.max())
             else:
-                lo = int(_min(end))
+                lo = int(end.min())
         return lo, hi
 
 
@@ -501,66 +612,57 @@ class WarpRuns(NamedTuple):
 #: mask (lane l = bit l) and its all-lanes value
 _MASK_WORD = {ws: (np.dtype(f"<u{ws // 8}"), (1 << ws) - 1)
               for ws in (8, 16, 32, 64)}
-#: population count (NumPy >= 2.0); without it partial masks take the
-#: enumerated path
-_popcount = getattr(np, "bitwise_count", None)
+#: set bits of every byte value
+_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
-def warp_runs(idx: np.ndarray, mask: np.ndarray, block_ids: np.ndarray,
-              warp_size: int, stride: int,
-              full: bool = False) -> WarpRuns | None:
-    """Per-warp runs of a lane-affine access over a ``(blocks, threads)``
-    chunk, or None when the closed form does not apply.
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits per element of a contiguous unsigned-integer array (as
+    uint8, so shifting a word by the result keeps the word type)."""
+    return _POP8[x.view(np.uint8)].reshape(x.size, x.itemsize).sum(
+        axis=1, dtype=np.uint8)
 
-    ``idx`` holds the per-lane indices (possibly a broadcast view),
-    ``mask`` the active lanes and ``full`` asserts an all-true mask.  The
-    caller vouches (static verdict plus ``blockDim.x % warp_size == 0``)
-    that within each warp the active lanes' indices step by ``stride``
-    per lane.  That pins the indices only over a *contiguous* run of
+
+def warp_runs(access: AffineAccess, warp_size: int) -> WarpRuns | None:
+    """Per-warp runs of a lane-affine access, or None when the closed
+    form does not apply.
+
+    The static verdict pins the indices only over a *contiguous* run of
     active lanes, so a warp whose active lanes have a gap returns None —
     except at ``stride == 0``, where every active lane shares one index
-    anyway.  The mask is packed to one machine word per warp, so the
-    run checks cost O(warps): population count for the run length,
-    lowest set bit for the first lane, and ``y & (y + 1) == 0`` (``y``
-    the word shifted down to its first lane) for contiguity.
+    anyway.
     """
-    nb, n = mask.shape
-    nw = n // warp_size
+    idx, mask, block_ids, stride, full, memo = access
+    n = mask.shape[1]
     if full:
         return WarpRuns(idx[:, ::warp_size].reshape(-1),
-                        np.repeat(block_ids, nw), warp_size, stride)
-    key = None
-    if mask.size <= _RUNS_MEMO_LANES:
-        key = (warp_size, n, stride != 0, mask.tobytes())
-        found = _RUNS_MEMO.get(key)
-        if found is None:
-            found = _mask_runs(mask, warp_size, stride != 0) or _GAP
-            if len(_RUNS_MEMO) >= _RUNS_MEMO_SIZE:
-                _RUNS_MEMO.clear()
-            _RUNS_MEMO[key] = found
+                        np.repeat(block_ids, n // warp_size), warp_size,
+                        stride)
+    if memo is not None:
+        found = memo.analyze(mask, warp_size)
     else:
-        # big masks: the statements of one region share the mask object
-        global _last_big
-        kind = (warp_size, stride != 0)
-        if _last_big[0] is mask and _last_big[1] == kind:
-            found = _last_big[2]
-        else:
-            found = _mask_runs(mask, warp_size, stride != 0) or _GAP
-            _last_big = (mask, kind, found)
-    if found is _GAP:
+        found = _mask_runs(mask, warp_size)
+    if found is None:
         return None
-    lane, wrow, count = found
+    lane, wrow, count, contiguous = found
+    if stride and not contiguous:
+        return None
     return WarpRuns(idx.take(lane), block_ids[wrow], count, stride)
 
 
-def _mask_runs(mask: np.ndarray, warp_size: int, gapless: bool):
-    """``(lane, wrow, count)`` of a ``(blocks, threads)`` mask: the flat
-    index of each active warp's first active lane, its chunk row, and
-    the run lengths (an int when all are full) — or None when
-    ``gapless`` and some warp's active lanes are not contiguous, or the
-    warp size has no packed-word type."""
+def _mask_runs(mask: np.ndarray, warp_size: int):
+    """``(lane, wrow, count, contiguous)`` of a ``(blocks, threads)``
+    mask: the flat index of each active warp's first active lane, its
+    chunk row, the run lengths (an int when all are full) and whether
+    every warp's active lanes are contiguous — or None when the warp
+    size has no packed-word type.
+
+    The mask is packed to one machine word per warp, so this costs
+    O(warps): population count for the run length, lowest set bit for
+    the first lane, and ``y & (y + 1) == 0`` (``y`` the word shifted
+    down to its first lane) for contiguity."""
     word = _MASK_WORD.get(warp_size)
-    if word is None or _popcount is None or mask.shape[1] % warp_size:
+    if word is None or mask.shape[1] % warp_size:
         return None
     word, every = word
     bits = np.packbits(mask, axis=-1, bitorder="little").view(word)
@@ -568,35 +670,31 @@ def _mask_runs(mask: np.ndarray, warp_size: int, gapless: bool):
     live = bits.nonzero()[0]
     x = bits[live]
     lane = live * warp_size
-    if int(_min(x)) == every:
-        count = warp_size
+    if int(x.min()) == every:
+        count, contiguous = warp_size, True
     else:
         one = word.type(1)
         first = _popcount((x & (~x + one)) - one)
-        if gapless:
-            y = x >> first
-            if _any(y & (y + one)):
-                return None
+        y = x >> first
+        contiguous = not (y & (y + one)).any()
         count = _popcount(x).astype(np.int64)
-        count.flags.writeable = False
         lane += first
     wrow = live // (mask.shape[1] // warp_size)
-    lane.flags.writeable = False
-    wrow.flags.writeable = False
-    return lane, wrow, count
+    return lane, wrow, count, contiguous
 
 
-#: memo of :func:`_mask_runs` for small masks, where the per-call fixed
-#: cost dominates and loops re-run a statement under the same mask:
-#: ``(warp_size, threads, gapless, mask bytes) -> (lane, wrow, count)``
-#: or _GAP; bounded in entries and in mask size
-_RUNS_MEMO: dict = {}
-_RUNS_MEMO_SIZE = 128
-_RUNS_MEMO_LANES = 2048
-_GAP = object()
-#: the last bigger mask's runs, by identity (holding the mask keeps its
-#: id from being reused; executors never mutate a mask in place)
-_last_big: tuple = (None, None, None)
+def _lane_keys(access: AffineAccess,
+               warp_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lane ``(warp key, block id)`` of an access's active lanes, for
+    the per-lane fallback: the flat lane number divided by the warp size
+    is a block-qualified warp key, since a lane-affine launch has whole
+    warps per block."""
+    mask = access.mask
+    if access.full:
+        flat = np.arange(mask.size)
+    else:
+        flat = mask.reshape(-1).nonzero()[0]
+    return flat // warp_size, access.block_ids[flat // mask.shape[1]]
 
 
 def _expand_ranges(first: np.ndarray, counts: np.ndarray,
@@ -612,8 +710,10 @@ def _expand_ranges(first: np.ndarray, counts: np.ndarray,
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a fresh, non-empty int64 array (sorts
     it in place when it is not already ordered)."""
-    if keys.size < 2 or _all(keys[1:] > keys[:-1]):
-        return keys  # strictly increasing: already the answer
+    if keys.size < 2 or bool((keys[1:] > keys[:-1]).all()):
+        # strictly increasing, as a warp-ordered walk's segments are:
+        # already the answer (half the cost of the dedup below)
+        return keys
     if not _is_sorted(keys):
         keys.sort()
     new = np.empty(keys.size, dtype=bool)
@@ -629,7 +729,7 @@ def _is_sorted(a: np.ndarray) -> bool:
     broadcast reads) produce pre-sorted dedup keys, so one comparison
     pass routinely replaces an O(n log n) sort.
     """
-    return a.size < 2 or bool(_all(a[1:] >= a[:-1]))
+    return a.size < 2 or bool((a[1:] >= a[:-1]).all())
 
 
 def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -650,7 +750,7 @@ def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
 class _SlotReuse:
     """Per-statement segment-reuse state for the batched executor."""
 
-    __slots__ = ("cur", "first", "seen", "blocks", "last")
+    __slots__ = ("cur", "first", "seen", "blocks", "last_closed")
 
     def __init__(self):
         #: sorted block-tagged segments of each block's latest execution
@@ -661,19 +761,19 @@ class _SlotReuse:
         #: blocks with an entry in ``cur`` (drives the full-replacement
         #: eviction fast path)
         self.blocks: set[int] = set()
-        #: ``blocks`` as the sorted array a multi-block execution left,
-        #: or None: a next execution by exactly these blocks is a plain
-        #: replacement (the steady state of loops over a full chunk)
-        self.last: np.ndarray | None = None
+        #: the statement's last closed-form execution: ``(runs, lowest
+        #: index, highest index, uniq_bseg, requests, lanes)``, see
+        #: :meth:`GlobalMemory._closed_form`
+        self.last_closed: tuple | None = None
 
     def update(self, uniq_bseg: np.ndarray) -> None:
         """Record one execution's sorted block-tagged segments."""
         b0 = int(uniq_bseg[0]) // _SEG_TAG
         if b0 == int(uniq_bseg[-1]) // _SEG_TAG:
-            # one executing block (compacted loops, last-block
-            # epilogues): no block-boundary scan
+            # one executing block, the most common call (compacted
+            # loops, the fused finish): no block-boundary scan, a third
+            # of the cost of the general path
             pb = [b0]
-            pblocks = None
             if b0 not in self.seen:
                 self.first[b0] = uniq_bseg - b0 * _SEG_TAG
                 self.seen.add(b0)
@@ -683,21 +783,14 @@ class _SlotReuse:
             bstart[0] = True
             np.not_equal(blk[1:], blk[:-1], out=bstart[1:])
             starts = bstart.nonzero()[0]
-            pblocks = blk[starts]
-            last = self.last
-            if last is not None and last.size == pblocks.size \
-                    and _all(last == pblocks):
-                # every block was seen and cached by the last execution
-                self.cur = uniq_bseg
-                return
-            pb = pblocks.tolist()
+            pb = blk[starts].tolist()
             if not self.seen.issuperset(pb):
-                rel = uniq_bseg % _SEG_TAG
                 ends = starts.tolist()
                 ends.append(uniq_bseg.size)
                 for j, b in enumerate(pb):
                     if b not in self.seen:
-                        self.first[b] = rel[ends[j]:ends[j + 1]]
+                        self.first[b] = uniq_bseg[ends[j]:ends[j + 1]] \
+                            - b * _SEG_TAG
                         self.seen.add(b)
         if not self.cur.size or self.blocks.issubset(pb):
             # every cached block is executing this statement, so the
@@ -705,7 +798,6 @@ class _SlotReuse:
             # subtraction (the steady state of full-chunk loops)
             self.cur = uniq_bseg
             self.blocks = set(pb)
-            self.last = pblocks
             return
         # evict the executing blocks' previous entries: tagged keys put
         # each block in the contiguous key range [b*TAG, (b+1)*TAG), so
@@ -725,7 +817,6 @@ class _SlotReuse:
             keep = self.cur[np.cumsum(delta[:-1]) == 0]
         self.cur = np.sort(np.concatenate([keep, uniq_bseg]))
         self.blocks.update(pb)
-        self.last = None
 
 
 def finalize_segment_reuse(cache: dict, stats: KernelStats,
@@ -874,19 +965,28 @@ class SharedMemory:
 
     def _count_banks(self, name: str, act_idx: np.ndarray,
                      act_warp: np.ndarray | None,
-                     runs: WarpRuns | None = None) -> None:
+                     affine: AffineAccess | None = None) -> None:
         """Conflict-serialized access count for one warp-synchronous access.
 
         Per warp: group the *distinct words* touched by bank; the access
         serializes into ``max_over_banks(#distinct words)`` shared accesses.
         Lanes reading the same word broadcast for free.
 
-        ``runs`` (a lane-affine access, see :func:`warp_runs`) takes each
-        warp's degree from :func:`_bank_degree_table` instead: it depends
-        only on the first lane's byte offset within one sweep of the
-        banks and on the run length.
+        ``affine`` (a lane-affine access) takes each warp's degree from
+        :func:`_bank_degree_table` instead: over the access's
+        :func:`warp_runs` it depends only on the first lane's byte offset
+        within one sweep of the banks and on the run length.  ``act_warp``
+        may then be None; without runs, or when the runs leave the array
+        (int32 index arithmetic that wrapped within a warp), the access
+        is counted per lane.
         """
         itemsize = self._dtypes[name].itemsize
+        runs = None
+        if affine is not None:
+            runs = warp_runs(affine, self.device.warp_size)
+            if runs is not None and \
+                    not runs.within(self._arrays[name].shape[-1]):
+                runs = None
         if runs is not None:
             nw = runs.rep.size
             if runs.stride == 0:
@@ -907,10 +1007,12 @@ class SharedMemory:
                     _fill_bank_degrees(table, dev, itemsize, runs.stride,
                                        off, cnt)
                     deg = table[off, cnt]
-                serialized = int(_add(deg, dtype=np.int64))
+                serialized = int(deg.sum(dtype=np.int64))
             self.stats.shared_accesses += serialized
             self.stats.bank_conflict_extra += serialized - nw
             return
+        if act_warp is None:
+            act_warp = _lane_keys(affine, self.device.warp_size)[0]
         word = (self._offsets[name] + act_idx.astype(np.int64) * itemsize) \
             // self.device.shared_mem_bank_width
         degrees = _bank_degrees(word, act_warp, self.device.shared_mem_banks)
@@ -953,7 +1055,9 @@ def _bank_degrees(word: np.ndarray, warp: np.ndarray,
 #: memoized conflict degrees of lane-affine shared accesses: one dense
 #: ``(bank sweep bytes, warp_size + 1)`` table per (bank geometry,
 #: itemsize, stride), indexed by the first lane's byte offset within a
-#: bank sweep and the run length; -1 marks entries not computed yet
+#: bank sweep and the run length; -1 marks entries not computed yet.
+#: Device threads share it: every entry is a pure function of its
+#: indices, so two threads filling one at once write the same value
 _BANK_DEGREES: dict[tuple, np.ndarray] = {}
 
 
@@ -1021,11 +1125,11 @@ class BatchedSharedMemory(SharedMemory):
 
     def load(self, name: str, idx: np.ndarray, mask: np.ndarray,
              warpkey: np.ndarray, rows: np.ndarray,
-             runs: WarpRuns | None = None) -> np.ndarray:
+             affine: AffineAccess | None = None) -> np.ndarray:
         """Gather with ``(blocks, threads)`` index/mask arrays.
 
         ``warpkey`` holds block-qualified warp ids, ``rows`` the chunk row
-        index per lane; ``runs`` marks a lane-affine access (see
+        index per lane; ``affine`` marks a lane-affine access (see
         :meth:`SharedMemory._count_banks`).
         """
         arr = self._array2(name, idx, mask)
@@ -1033,11 +1137,9 @@ class BatchedSharedMemory(SharedMemory):
         act = idx[mask]
         if act.size:
             out[mask] = arr[rows[mask], act]
-            if runs is not None and not runs.within(arr.shape[1]):
-                runs = None  # the index arithmetic wrapped
             self._count_banks(name, act,
-                              None if runs is not None else warpkey[mask],
-                              runs)
+                              None if affine is not None else warpkey[mask],
+                              affine)
             if self.faults is not None:
                 # the executor may pass row-compacted arrays: mask row i
                 # maps to chunk row rows[i, 0], which indexes block_ids
@@ -1049,16 +1151,16 @@ class BatchedSharedMemory(SharedMemory):
 
     def store(self, name: str, idx: np.ndarray, values: np.ndarray,
               mask: np.ndarray, warpkey: np.ndarray,
-              rows: np.ndarray, runs: WarpRuns | None = None) -> None:
+              rows: np.ndarray,
+              affine: AffineAccess | None = None) -> None:
         arr = self._array2(name, idx, mask)
         act = idx[mask]
         if not act.size:
             return
         arr[rows[mask], act] = np.asarray(values, dtype=arr.dtype)[mask]
-        if runs is not None and not runs.within(arr.shape[1]):
-            runs = None  # the index arithmetic wrapped
         self._count_banks(name, act,
-                          None if runs is not None else warpkey[mask], runs)
+                          None if affine is not None else warpkey[mask],
+                          affine)
 
     def read_block(self, name: str, row: int) -> np.ndarray:
         """One block's view of a shared array (tests/debugging)."""

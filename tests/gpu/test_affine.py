@@ -55,17 +55,23 @@ def verdict(k, pick=lambda s: isinstance(s, K.GLoad) and s.buf == "a"):
 
 @pytest.fixture
 def spy(monkeypatch):
-    """Records ``(buffer, closed_form)`` per transaction-count call."""
+    """Records ``(buffer, closed_form)`` per transaction-count call;
+    ``closed_form`` is whether the call counted from warp runs."""
     calls = []
-    orig = _GM._count_transactions_batched
+    orig_count = _GM._count_transactions_batched
+    orig_closed = _GM._closed_form
 
-    def wrapped(self, buf, act_idx, act_warpkey, act_block, stats,
-                reuse=None, runs=None):
-        calls.append((buf.name, runs is not None))
-        return orig(self, buf, act_idx, act_warpkey, act_block, stats,
-                    reuse, runs)
+    def count(self, buf, *args, **kw):
+        calls.append((buf.name, False))
+        return orig_count(self, buf, *args, **kw)
 
-    monkeypatch.setattr(_GM, "_count_transactions_batched", wrapped)
+    def closed_form(self, buf, runs, st):
+        out = orig_closed(self, buf, runs, st)
+        calls[-1] = (buf.name, out is not None)
+        return out
+
+    monkeypatch.setattr(_GM, "_count_transactions_batched", count)
+    monkeypatch.setattr(_GM, "_closed_form", closed_form)
     return calls
 
 
@@ -89,7 +95,7 @@ def run_modes(k, block_dim=(64, 2), grid=3, params=None):
 class TestVerdicts:
     def test_tx_has_stride_one(self):
         k = kernel(K.GLoad("v", "a", add(mul(BX, c(128)), TX)))
-        assert verdict(k) == (1, True)
+        assert verdict(k).stride == 1
 
     def test_scaled_tx_and_uniform_terms(self):
         k = kernel(K.GLoad("v", "a", add(mul(TX, c(4)),
@@ -103,7 +109,7 @@ class TestVerdicts:
     def test_uniform_index(self):
         k = kernel(K.Assign("j", TY),
                    K.GLoad("v", "a", mul(K.Reg("j"), c(32))))
-        assert verdict(k) == (0, True)
+        assert verdict(k).stride == 0
 
     def test_parameter_stride_through_top_level_register(self):
         k = kernel(K.Assign("n", K.Param("n")),
@@ -118,7 +124,7 @@ class TestVerdicts:
                    K.While(lt(K.Reg("i"), c(500)), (
                        K.GLoad("v", "a", K.Reg("i")),
                        K.Assign("i", add(K.Reg("i"), c(128))))))
-        assert verdict(k) == (1, False)
+        assert verdict(k).stride == 1
 
     def test_fused_finish_loop_under_divergent_if(self):
         # if (tid < 256) { i = tid; while (i < n) { a[i]; i += 256; } }

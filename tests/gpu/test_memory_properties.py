@@ -10,8 +10,8 @@ from repro.gpu.device import K20C
 from repro.gpu.events import KernelStats
 from repro.gpu.kernelir import SharedArraySpec
 from repro.gpu.memory import (
-    _SEG_TAG, Buffer, GlobalMemory, SharedMemory, WarpRuns, _SlotReuse,
-    finalize_segment_reuse, warp_runs,
+    _SEG_TAG, AffineAccess, Buffer, GlobalMemory, RunsMemo, SharedMemory,
+    _SlotReuse, _popcount, finalize_segment_reuse, warp_runs,
 )
 
 SIZE = 4096
@@ -124,27 +124,41 @@ def _run_strategy():
 
 @st.composite
 def _affine_calls(draw):
-    """A buffer, a stride and a sequence of executions of one access."""
+    """A buffer, a stride and a sequence of executions of one access.
+
+    An execution either draws new blocks, runs and indices, or repeats
+    the previous one with every index moved by one offset (a loop's next
+    iteration), a whole number of segments or not."""
     itemsize = draw(st.sampled_from(sorted(_ITEM)))
     big = 128 // itemsize
     stride = draw(st.one_of(
         st.sampled_from([0, 1, -1, 2, big, big + 1, -big, 3 * big]),
         st.integers(-3 * big, 3 * big)))
-    # warps per block; 40 makes a mask too large for the runs memo
+    # warps per block
     nw = draw(st.sampled_from([1, 2, 3, 4, 40]))
     size = 1 << 15
+    span = abs(stride) * (WS - 1)
+    lo, hi = (span if stride < 0 else 0), size - 1 - (span if stride > 0
+                                                       else 0)
     calls = []
     for _ in range(draw(st.integers(1, 4))):
+        if calls and draw(st.booleans()):
+            blocks, runs, reps, full = calls[-1]
+            flat = [r for row in reps for r in row]
+            d = draw(st.one_of(st.integers(-3, 3).map(lambda k: k * big),
+                               st.integers(-40, 40)))
+            d = max(lo - min(flat), min(d, hi - max(flat)))
+            reps = [[r + d for r in row] for row in reps]
+            calls.append((blocks, runs, reps, full))
+            continue
         blocks = sorted(draw(st.sets(st.integers(0, 7), min_size=1,
                                      max_size=3)))
         runs = [[draw(_run_strategy()) for _ in range(nw)] for _ in blocks]
         full = draw(st.booleans())
         if full:
             runs = [[(0, WS)] * nw for _ in blocks]
-        span = abs(stride) * (WS - 1)
-        reps = [[draw(st.integers(span if stride < 0 else 0,
-                                  size - 1 - (span if stride > 0 else 0)))
-                 for _ in range(nw)] for _ in blocks]
+        reps = [[draw(st.integers(lo, hi)) for _ in range(nw)]
+                for _ in blocks]
         calls.append((np.asarray(blocks, dtype=np.int64), runs, reps, full))
     base = 256 + draw(st.integers(0, 255))
     return itemsize, stride, nw, size, base, calls
@@ -185,6 +199,7 @@ class TestClosedFormAccounting:
                      np.zeros(size, dtype=_ITEM[itemsize]))
         s_enum, s_closed = KernelStats(), KernelStats()
         c_enum, c_closed = {}, {}
+        memo = RunsMemo()  # one block chunk's, as the executors keep
         for blocks, runs, reps, full in calls:
             idx, mask = _lanes(nw, runs, reps, stride, rng)
             act = idx[mask]
@@ -194,8 +209,10 @@ class TestClosedFormAccounting:
             warpkey = (np.arange(nb, dtype=np.int64)[:, None] * nw
                        + np.arange(nw * WS)[None, :] // WS)
             block_of = np.broadcast_to(blocks[:, None], mask.shape)
-            runs_ = warp_runs(idx, mask, blocks, WS, stride, full=full)
+            access = AffineAccess(idx, mask, blocks, stride, full, memo)
+            runs_ = warp_runs(access, WS)
             assert runs_ is not None
+            # in bounds, so the call below takes the closed form
             assert runs_.index_range() == (int(act.min()), int(act.max()))
             before = (dataclasses.astuple(s_enum),
                       dataclasses.astuple(s_closed))
@@ -203,21 +220,91 @@ class TestClosedFormAccounting:
                                           block_of[mask], s_enum,
                                           (c_enum, 0))
             g._count_transactions_batched(buf, act, None, None, s_closed,
-                                          (c_closed, 0), runs_)
+                                          (c_closed, 0), access)
             assert _counts(s_enum) == _counts(s_closed), before
             assert _slot_state(c_enum[0]) == _slot_state(c_closed[0])
         finalize_segment_reuse(c_enum, s_enum, K20C.transaction_bytes)
         finalize_segment_reuse(c_closed, s_closed, K20C.transaction_bytes)
         assert _counts(s_enum) == _counts(s_closed)
 
+    @given(words=st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                          max_size=40),
+           width=st.sampled_from([8, 16, 32, 64]))
+    def test_popcount_counts_set_bits(self, words, width):
+        x = np.asarray([w % (1 << width) for w in words],
+                       dtype=f"<u{width // 8}")
+        assert _popcount(x).tolist() == [bin(int(w)).count("1") for w in x]
+
     def test_gap_in_a_strided_run_declines(self):
         idx = np.arange(WS, dtype=np.int32)[None, :]
         mask = np.ones((1, WS), dtype=bool)
         mask[0, 5] = False
         blocks = np.zeros(1, dtype=np.int64)
-        assert warp_runs(idx, mask, blocks, WS, 1) is None
+        assert warp_runs(AffineAccess(idx, mask, blocks, 1), WS) is None
         # a uniform index needs no contiguity
-        assert warp_runs(idx * 0, mask, blocks, WS, 0) is not None
+        assert warp_runs(AffineAccess(idx * 0, mask, blocks, 0), WS) \
+            is not None
+
+    def test_gap_falls_back_to_per_lane_counting(self):
+        idx = np.arange(2 * WS, dtype=np.int32).reshape(2, WS) * 40
+        mask = np.ones((2, WS), dtype=bool)
+        mask[1, 7] = False
+        blocks = np.arange(2, dtype=np.int64)
+        g = GlobalMemory(K20C)
+        buf = g.alloc("a", 4096, DType.INT)
+        act = idx[mask]
+        s_enum, s_closed = KernelStats(), KernelStats()
+        per_lane = np.repeat(blocks, [WS, WS - 1])  # a warp per block
+        g._count_transactions_batched(buf, act, per_lane, per_lane, s_enum)
+        g._count_transactions_batched(buf, act, None, None, s_closed,
+                                      affine=AffineAccess(idx, mask, blocks,
+                                                          40))
+        assert _counts(s_enum) == _counts(s_closed)
+
+    def test_threads_count_their_own_big_masks(self):
+        """Warp runs come from the mask each call is given, never from
+        state another thread left behind: threads counting accesses under
+        different big masks at once match a one-thread count."""
+        import sys
+        import threading
+        nb = 64
+        blocks = np.arange(nb, dtype=np.int64)
+        idx = np.arange(nb * 4 * WS, dtype=np.int32).reshape(nb, 4 * WS)
+        masks = [np.zeros((nb, 4 * WS), dtype=bool) for _ in range(2)]
+        masks[0][:, :WS + 3] = True            # one full warp + 3 lanes
+        masks[1][:, 2 * WS:4 * WS - 9] = True  # warps 2-3, 55 lanes
+        g = GlobalMemory(K20C)
+        buf = g.alloc("a", nb * 4 * WS, DType.INT)
+
+        def count(mask, out, reps):
+            for _ in range(reps):
+                st_ = KernelStats()
+                g._count_transactions_batched(
+                    buf, idx[mask], None, None, st_,
+                    affine=AffineAccess(idx, mask, blocks, 1))
+                out.append(_counts(st_))
+
+        want = []
+        for mask in masks:
+            one = []
+            count(mask, one, 1)
+            want.append(one[0])
+        got = [[] for _ in range(4)]
+        threads = [threading.Thread(target=count,
+                                    args=(masks[i % 2], got[i], 100))
+                   for i in range(4)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for i, out in enumerate(got):
+            assert out == [want[i % 2]] * 100
 
     @given(itemsize=st.sampled_from([1, 2, 4, 8]),
            stride=st.integers(-70, 70),
@@ -228,7 +315,7 @@ class TestClosedFormAccounting:
     def test_bank_degree_table_matches_count_banks(self, itemsize, stride,
                                                    pad, starts, cnts):
         specs = (SharedArraySpec("pad", DType.BOOL, pad + 1),
-                 SharedArraySpec("s", DType.LONG, 4096))
+                 SharedArraySpec("s", DType.INT, 8192))
         s_enum, s_closed = KernelStats(), KernelStats()
         sm_enum = SharedMemory(K20C, specs, s_enum)
         sm_closed = SharedMemory(K20C, specs, s_closed)
@@ -238,12 +325,15 @@ class TestClosedFormAccounting:
         span = abs(stride) * (WS - 1)
         reps = np.asarray([s + span for s in starts], dtype=np.int64)
         cnt = np.asarray(cnts[:len(starts)], dtype=np.int64)
-        lanes = np.concatenate([r + stride * np.arange(k)
-                                for r, k in zip(reps, cnt)])
+        # one warp per row, each running a prefix of its lanes
+        idx = reps[:, None] + stride * np.arange(WS)[None, :]
+        mask = np.arange(WS)[None, :] < cnt[:, None]
+        access = AffineAccess(idx, mask, np.zeros(reps.size, np.int64),
+                              stride)
+        assert warp_runs(access, WS).within(8192)  # the closed form
         warp = np.repeat(np.arange(reps.size), cnt)
-        sm_enum._count_banks("s", lanes, warp)
-        sm_closed._count_banks("s", lanes, None, WarpRuns(
-            reps, np.zeros(reps.size, dtype=np.int64), cnt, stride))
+        sm_enum._count_banks("s", idx[mask], warp)
+        sm_closed._count_banks("s", idx[mask], None, access)
         assert (s_enum.shared_accesses, s_enum.bank_conflict_extra) == \
             (s_closed.shared_accesses, s_closed.bank_conflict_extra)
 

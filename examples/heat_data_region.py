@@ -43,10 +43,11 @@ def solve_with_data_region(n, tol, max_iters):
     iters = 0
     converged = False
     with acc.DataRegion(copy={"temp1": t, "temp2": t.copy()}) as region:
+        opts = acc.RunOptions(data_region=region)
         for it in range(1, max_iters + 1):
-            upd = update.run(data_region=region)  # temp2 <- stencil(temp1)
-            err = errprog.run(data_region=region)  # error = max|temp1 - temp2|
-            cpy = devcopy.run(data_region=region)  # temp1 <- temp2, device-side
+            upd = update.run(opts)   # temp2 <- stencil(temp1)
+            err = errprog.run(opts)  # error = max|temp1 - temp2|
+            cpy = devcopy.run(opts)  # temp1 <- temp2, device-side
             kernel_ms += upd.kernel_ms + err.kernel_ms + cpy.kernel_ms
             total_ms += upd.modeled_ms + err.modeled_ms + cpy.modeled_ms
             iters = it

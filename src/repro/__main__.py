@@ -254,7 +254,7 @@ def _cmd_run(args) -> int:
     with _timeline_scope(args):
         prog = _compile_from_args(args, profiler=profiler)
         kwargs = _parse_run_inputs(args)
-        res = prog.run(profiler=profiler, **kwargs)
+        res = prog.run(acc.RunOptions(profiler=profiler), **kwargs)
         _export_timeline(args, _tl.current())
     for name, value in res.scalars.items():
         print(f"scalar {name} = {value}")
@@ -309,11 +309,12 @@ def _cmd_profile(args) -> int:
         prog = _compile_from_args(args, profiler=profiler)
         kwargs = _parse_run_inputs(args)
         synthesize_inputs(prog, kwargs, args.size)
+        opts = acc.RunOptions(profiler=profiler, trace=args.trace,
+                              attribution=args.lines)
         res = None
         try:
             for _ in range(max(1, args.runs)):
-                res = prog.run(profiler=profiler, trace=args.trace,
-                               attribution=args.lines, **kwargs)
+                res = prog.run(opts, **kwargs)
         except ReproError as exc:
             # flush the partial trace before the error surfaces: a failed
             # run is precisely when the profile is most wanted
@@ -339,7 +340,7 @@ def _cmd_annotate(args) -> int:
     prog = _compile_from_args(args)
     kwargs = _parse_run_inputs(args)
     synthesize_inputs(prog, kwargs, args.size)
-    prog.run(profiler=profiler, attribution=True, **kwargs)
+    prog.run(acc.RunOptions(profiler=profiler, attribution=True), **kwargs)
 
     records = _first_attributed(profiler.kernels)
     # with --json - the rows document owns stdout; listing goes to stderr

@@ -29,7 +29,8 @@ from repro.acc.profiles import CompilerProfile, get_profile
 from repro.obs import timeline as _timeline
 from repro.obs import trace as _reqtrace
 
-__all__ = ["compile", "Program", "RunResult", "FALLBACK_CHAIN"]
+__all__ = ["compile", "Program", "RunOptions", "RunResult",
+           "FALLBACK_CHAIN"]
 
 
 #: The declared graceful-degradation chain (see docs/robustness.md).
@@ -54,6 +55,75 @@ FALLBACK_CHAIN: tuple = (
         bug_sum_layout_mismatch=False)),
     ("host-sequential", None),
 )
+
+#: capped exponential *modeled* backoff between transient-fault retries:
+#: attempt k waits ``min(RETRY_BACKOFF_US * 2**(k-1), RETRY_BACKOFF_CAP_US)``
+RETRY_BACKOFF_US = 100.0
+RETRY_BACKOFF_CAP_US = 1600.0
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """The run policy of one :meth:`Program.run` — everything but the
+    region's arrays and scalars, which stay keyword bindings.
+
+    * ``trace`` — per-access :class:`~repro.gpu.events.TraceEvent`
+      collection on every kernel launch (plumbed to
+      :meth:`~repro.gpu.executor.CompiledKernel.run`).
+    * ``data_region`` — an active
+      :class:`~repro.acc.dataregion.DataRegion`; arrays it holds are
+      *present* on the device, need not be passed, and are not
+      transferred per run.
+    * ``profiler`` — a :class:`repro.obs.Profiler` receiving transfer
+      spans, one :class:`~repro.obs.record.KernelRecord` per launch and a
+      ``reduction``-finalize span per gang reduction; ``None`` does no
+      profiling work at all.
+    * ``faults`` — a :class:`repro.faults.FaultPlan` or armed
+      :class:`repro.faults.FaultInjector`, threaded through transfers and
+      every kernel launch.
+    * ``watchdog_budget`` — per-launch loop-step budget override (``None``
+      = executor default; ``0``/negative disables).
+    * ``executor_mode`` — ``"batched"`` (default), ``"trace"`` or
+      ``"reference"`` for every launch of the run; the paths are pinned
+      bit-identical, so this is a performance knob only.
+    * ``attribution`` — fill a per-statement
+      :class:`~repro.gpu.events.AttributionTable` on every launch's
+      ``stats.attribution`` (the input to :mod:`repro.obs.attribution` /
+      :mod:`repro.obs.roofline`); off allocates nothing.
+    * ``runs`` — redundant-execution voting: execute ``runs`` times and
+      serve the bitwise-majority result; detects silent data corruption.
+      Requires an idempotent program (no stale-cache profiles).
+    * ``max_attempts`` — tries per replica for faults classified
+      transient (launch/transfer), with capped exponential *modeled*
+      backoff charged to the ledger as ``retry:backoff`` entries.
+    * ``validate`` — callable ``validate(result) -> bool``; False is
+      treated as detected corruption.
+    * ``degrade`` — graceful strategy degradation: when a lowering
+      strategy raises a :class:`SimulationError`, exhausts its retries, or
+      fails validation/voting, recompile down :data:`FALLBACK_CHAIN` and
+      serve the first strategy that survives, recording the degradation
+      on the result and in ``profiler.metrics``.
+
+    With ``faults``, ``runs``, ``validate`` and ``degrade`` at their
+    defaults the run takes the plain single-attempt path, bit-identical to
+    a run without any hardening (the pinned zero-overhead contract).
+    """
+
+    trace: bool = False
+    data_region: object = None
+    profiler: object = None
+    faults: object = None
+    watchdog_budget: int | None = None
+    executor_mode: str | None = None
+    attribution: bool = False
+    runs: int = 1
+    max_attempts: int = 3
+    validate: object = None
+    degrade: bool = False
+
+
+#: the options of every ``Program.run`` called without any
+_DEFAULT_OPTIONS = RunOptions()
 
 
 @dataclass
@@ -174,159 +244,62 @@ class Program:
 
     def _record_kernel(self, profiler, name: str, stats: KernelStats,
                        timing, grid_dim: int, block_dim: tuple[int, int],
-                       executor_mode: str | None = None) -> None:
+                       executor_mode: str) -> None:
         profiler.record_kernel(name, stats, timing, grid_dim=grid_dim,
                                block_dim=block_dim, device=self.device,
                                compiler=self.profile.name,
                                strategy=self._strategy,
-                               executor=executor_mode or "batched",
+                               executor=executor_mode,
                                kernel=self._compiled[name].kernel)
 
-    def _emit_kernel_span(self, name: str, timing, grid_dim: int,
-                          executor_mode: str | None) -> None:
-        """Mirror one launch onto the telemetry bus (modeled duration)."""
-        tl = _timeline.current()
-        if tl is not None:
-            tl.span("gpu", f"kernel:{name}", timing.total_us,
-                    grid=grid_dim, executor=executor_mode or "batched",
-                    compiler=self.profile.name)
-
-    def run(self, *, trace: bool = False, data_region=None, profiler=None,
-            faults=None, watchdog_budget: int | None = None,
-            executor_mode: str | None = None, block_batch: int | None = None,
-            attribution: bool = False,
-            max_attempts: int = 3, backoff_us: float = 100.0,
-            backoff_cap_us: float = 1600.0, runs: int = 1, validate=None,
-            degrade: bool = False, **kwargs) -> RunResult:
+    def run(self, options: RunOptions | None = None, /,
+            **bindings) -> RunResult:
         """Execute the region: transfers, main kernel, finish kernels.
 
         Pass every region array as a NumPy array (dtype must match the
-        declaration) and every unbound scalar as a keyword argument.
-        ``data_region`` may name an active
-        :class:`~repro.acc.dataregion.DataRegion` — arrays it holds are
-        *present* on the device and need not be passed (and are not
-        transferred per run).
-
-        ``trace=True`` enables per-access
-        :class:`~repro.gpu.events.TraceEvent` collection on every kernel
-        launch of this run (plumbed to
-        :meth:`~repro.gpu.executor.CompiledKernel.run`).  ``profiler`` (a
-        :class:`repro.obs.Profiler`) receives transfer spans, one
-        :class:`~repro.obs.record.KernelRecord` per launch, and a
-        ``reduction``-finalize span per gang reduction; when ``None``
-        (the default) no profiling work happens at all.
-
-        Robustness knobs (all opt-in; with every one at its default the
-        call takes the exact pre-existing fast path — the pinned
-        zero-overhead contract, mirroring the profiler's pure-observer
-        guarantee):
-
-        * ``faults`` — a :class:`repro.faults.FaultPlan` or armed
-          :class:`repro.faults.FaultInjector`; threads seeded fault
-          injection through transfers and every kernel launch.
-        * ``watchdog_budget`` — per-launch loop-step budget override
-          (``None`` = executor default; ``0``/negative disables).
-        * ``max_attempts`` / ``backoff_us`` / ``backoff_cap_us`` — retry
-          policy for faults classified transient (launch/transfer): up to
-          ``max_attempts`` tries with capped exponential *modeled* backoff
-          charged to the ledger as ``retry:backoff`` entries.
-        * ``runs`` — redundant-execution voting: execute the program
-          ``runs`` times and serve the bitwise-majority result; detects
-          silent data corruption, which raises no exception by itself.
-          Requires an idempotent program (no stale-cache profiles).
-        * ``validate`` — callable ``validate(result) -> bool``; a False
-          verdict is treated as detected corruption.
-        * ``degrade=True`` — graceful strategy degradation: when a
-          lowering strategy raises a :class:`SimulationError`, exhausts
-          its retries, or fails validation/voting, recompile down the
-          declared :data:`FALLBACK_CHAIN` and serve the answer from the
-          first strategy that survives, recording the degradation on the
-          result and in ``profiler.metrics``.
-
-        ``executor_mode`` (``"batched"`` default / ``"reference"``) and
-        ``block_batch`` select the simulator's executor path for every
-        launch of this run (see
-        :meth:`repro.gpu.executor.CompiledKernel.run`); both paths are
-        pinned bit-identical, so this is a performance knob only.
-
-        ``attribution=True`` fills a per-statement
-        :class:`~repro.gpu.events.AttributionTable` on every launch's
-        ``stats.attribution`` (both executors produce bit-identical
-        tables) — the input to the annotated-listing and roofline views
-        in :mod:`repro.obs.attribution` / :mod:`repro.obs.roofline`.
-        Off by default: the run path allocates nothing for it when
-        disabled.
+        declaration) and every unbound scalar as a keyword argument.  The
+        run policy travels in the one positional ``options`` object
+        (:class:`RunOptions`), so a region may name its arrays and
+        scalars anything — ``runs``, ``trace`` and ``faults`` included.
+        ``None`` (the default) runs with every policy at its default.
         """
+        if options is None:
+            options = _DEFAULT_OPTIONS
+        elif not isinstance(options, RunOptions):
+            raise TypeError(
+                f"Program.run takes a RunOptions as its only positional "
+                f"argument, got {type(options).__name__}")
         if not _timeline.trace_active():
-            return self._run_dispatch(
-                trace=trace, data_region=data_region, profiler=profiler,
-                faults=faults, watchdog_budget=watchdog_budget,
-                executor_mode=executor_mode, block_batch=block_batch,
-                attribution=attribution, max_attempts=max_attempts,
-                backoff_us=backoff_us, backoff_cap_us=backoff_cap_us,
-                runs=runs, validate=validate, degrade=degrade,
-                kwargs=kwargs)
+            return self._run_dispatch(options, bindings)
         # request tracing: a run inside an active context (a serve
         # dispatch) becomes a child span; a top-level run roots its own
         # trace — either way every kernel/transfer/fault event emitted
         # below lands in this run's subtree
         with _reqtrace.span("acc", f"run:{self.lowered.main_kernel.name}",
                             compiler=self.profile.name):
-            return self._run_dispatch(
-                trace=trace, data_region=data_region, profiler=profiler,
-                faults=faults, watchdog_budget=watchdog_budget,
-                executor_mode=executor_mode, block_batch=block_batch,
-                attribution=attribution, max_attempts=max_attempts,
-                backoff_us=backoff_us, backoff_cap_us=backoff_cap_us,
-                runs=runs, validate=validate, degrade=degrade,
-                kwargs=kwargs)
+            return self._run_dispatch(options, bindings)
 
-    def _run_dispatch(self, *, trace, data_region, profiler, faults,
-                      watchdog_budget, executor_mode, block_batch,
-                      attribution, max_attempts, backoff_us,
-                      backoff_cap_us, runs, validate, degrade,
-                      kwargs) -> RunResult:
-        injector = _as_injector(faults)
-        if (injector is None and runs <= 1 and validate is None
-                and not degrade):
+    def _run_dispatch(self, opts: RunOptions, bindings: dict) -> RunResult:
+        injector = _as_injector(opts.faults)
+        if (injector is None and opts.runs <= 1 and opts.validate is None
+                and not opts.degrade):
             # the pinned fast path: bit-identical to the pre-faults runtime
-            return self._execute(trace=trace, data_region=data_region,
-                                 profiler=profiler,
-                                 watchdog_budget=watchdog_budget,
-                                 executor_mode=executor_mode,
-                                 block_batch=block_batch,
-                                 attribution=attribution,
-                                 kwargs=kwargs)
-        return self._run_hardened(
-            trace=trace, data_region=data_region, profiler=profiler,
-            injector=injector, watchdog_budget=watchdog_budget,
-            executor_mode=executor_mode, block_batch=block_batch,
-            attribution=attribution,
-            max_attempts=max_attempts, backoff_us=backoff_us,
-            backoff_cap_us=backoff_cap_us, runs=runs, validate=validate,
-            degrade=degrade, kwargs=kwargs)
+            return self._execute(opts, bindings)
+        if injector is not opts.faults:
+            opts = replace(opts, faults=injector)
+        return self._run_hardened(opts, bindings)
 
     # -- the plain execution path (one attempt, one strategy) ------------
 
-    def _execute(self, *, trace: bool, data_region, profiler,
-                 faults=None, watchdog_budget: int | None = None,
-                 executor_mode: str | None = None,
-                 block_batch: int | None = None,
-                 attribution: bool = False,
-                 kwargs: dict) -> RunResult:
+    def _execute(self, opts: RunOptions, bindings: dict) -> RunResult:
         from repro.acc.runtime import DataEnv
 
         env = DataEnv(region=self.region, device=self.device,
-                      data_region=data_region, profiler=profiler,
-                      faults=faults)
-        env.bind(kwargs)
+                      data_region=opts.data_region, profiler=opts.profiler,
+                      faults=opts.faults)
+        env.bind(bindings)
         try:
-            return self._execute_bound(env, trace=trace, profiler=profiler,
-                                       faults=faults,
-                                       watchdog_budget=watchdog_budget,
-                                       executor_mode=executor_mode,
-                                       block_batch=block_batch,
-                                       attribution=attribution)
+            return self._execute_bound(env, opts)
         except BaseException:
             # free this run's allocations so a retry (or the next run in
             # a shared data region) can allocate the same names again
@@ -334,41 +307,46 @@ class Program:
             raise
 
     def _launch(self, env, stats: dict, name: str, grid: int,
-                block: tuple[int, int], params, *, trace, profiler, faults,
-                watchdog_budget, executor_mode, block_batch,
-                attribution) -> KernelStats:
+                block: tuple[int, int], params,
+                opts: RunOptions) -> KernelStats:
         """Run one kernel launch: execute, charge the ledger, mirror the
         telemetry span, and record on the profiler."""
         ck = self._compiled[name]
-        st = ck.run(env.gmem, grid, block, params=params, trace=trace,
-                    faults=faults, watchdog_budget=watchdog_budget,
-                    mode=executor_mode, block_batch=block_batch,
-                    attribution=attribution)
+        st = ck.run(env.gmem, grid, block, params=params, trace=opts.trace,
+                    faults=opts.faults, watchdog_budget=opts.watchdog_budget,
+                    mode=opts.executor_mode, attribution=opts.attribution)
         stats[name] = st
         tb = self._cost.kernel_time(st)
         env.ledger.add(f"kernel:{name}", tb.total_us)
-        self._emit_kernel_span(name, tb, grid, executor_mode)
-        if profiler is not None:
-            self._record_kernel(profiler, name, st, tb, grid, block,
-                                executor_mode=ck.effective_mode(
-                                    executor_mode, grid, env.gmem, faults,
-                                    trace_events=trace))
+        tl = _timeline.current()
+        if tl is None and opts.profiler is None:
+            return st
+        # resolved after the launch, so a block-disjointness fallback
+        # taken during it reports the path that produced the result
+        mode = ck.effective_mode(opts.executor_mode, grid, env.gmem,
+                                 opts.faults, trace_events=opts.trace)
+        if tl is not None:
+            tl.span("gpu", f"kernel:{name}", tb.total_us, grid=grid,
+                    executor=mode, compiler=self.profile.name)
+        if opts.profiler is not None:
+            self._record_kernel(opts.profiler, name, st, tb, grid, block,
+                                mode)
         return st
 
     def _finalize_reduction(self, g, env, scalars: dict, stats: dict,
-                            fbs: int, lk: dict) -> None:
+                            fbs: int, opts: RunOptions) -> None:
         """Finish one gang reduction: launch its finish kernel (if any),
         read the device result, and fold it into the host value.  The
         finished value is written back into the scalar environment so a
         later kernel stage's parameters deliver it."""
-        profiler = lk["profiler"]
+        profiler = opts.profiler
         fin_span = (profiler.region(f"finalize:{g.var}", "reduction",
                                     var=g.var, op=g.op.token)
                     if profiler is not None else nullcontext())
         with fin_span:
             if g.finish_kernel is not None:
                 self._launch(env, stats, g.finish_kernel.name, 1, (fbs, 1),
-                             {}, **lk)
+                             {}, opts)
             device_total = env.read_result(g.result_buf)
             device_index = (env.read_result(g.index_result_buf)
                             if g.is_pair else None)
@@ -398,12 +376,7 @@ class Program:
         if self.profile.stale_scalar_cache:
             self._stale_cache[g.var] = final
 
-    def _execute_bound(self, env, *, trace: bool, profiler, faults,
-                       watchdog_budget: int | None,
-                       executor_mode: str | None = None,
-                       block_batch: int | None = None,
-                       attribution: bool = False) -> RunResult:
-
+    def _execute_bound(self, env, opts: RunOptions) -> RunResult:
         # the vendor-a defect: device-resident reduction scalars ignore
         # host-side reinitialization between runs of the same program
         if self.profile.stale_scalar_cache:
@@ -414,6 +387,7 @@ class Program:
                         and g.index_var in self._stale_cache:
                     env.scalars[g.index_var] = self._stale_cache[g.index_var]
 
+        profiler = opts.profiler
         run_span = (profiler.region(f"run:{self.lowered.main_kernel.name}",
                                     "run", compiler=self.profile.name)
                     if profiler is not None else nullcontext())
@@ -429,15 +403,11 @@ class Program:
             stats: dict[str, KernelStats] = {}
             geom = self.lowered.geometry
             fbs = self.lowered.options.finish_block_size
-            lk = dict(trace=trace, profiler=profiler, faults=faults,
-                      watchdog_budget=watchdog_budget,
-                      executor_mode=executor_mode, block_batch=block_batch,
-                      attribution=attribution)
             for g in self.lowered.gang_reductions:
                 if g.init_kernel is None:
                     continue
                 self._launch(env, stats, g.init_kernel.name, g.init_grid,
-                             (fbs, 1), {}, **lk)
+                             (fbs, 1), {}, opts)
 
             scalars: dict[str, np.generic] = {}
             block = (geom.vector_length, geom.num_workers)
@@ -445,7 +415,7 @@ class Program:
             for si in range(self.lowered.num_stages):
                 kern = self.lowered.stage_kernel(si)
                 self._launch(env, stats, kern.name, geom.num_gangs, block,
-                             env.scalars, **lk)
+                             env.scalars, opts)
                 # finalize this stage's reductions before the next stage
                 # launches: the host fold writes the finished value into
                 # the scalar environment, so the next stage's parameters
@@ -459,9 +429,9 @@ class Program:
                     if g.cascade_fused:
                         deferred.append(g)
                         continue
-                    self._finalize_reduction(g, env, scalars, stats, fbs, lk)
+                    self._finalize_reduction(g, env, scalars, stats, fbs, opts)
             for g in deferred:
-                self._finalize_reduction(g, env, scalars, stats, fbs, lk)
+                self._finalize_reduction(g, env, scalars, stats, fbs, opts)
 
             outputs = env.exit_outputs()
             env.cleanup()
@@ -470,16 +440,13 @@ class Program:
 
     # -- hardening: retry, voting, graceful strategy degradation ---------
 
-    def _run_hardened(self, *, trace, data_region, profiler, injector,
-                      watchdog_budget, max_attempts, backoff_us,
-                      backoff_cap_us, runs, validate, degrade,
-                      kwargs, executor_mode=None,
-                      block_batch=None, attribution=False) -> RunResult:
+    def _run_hardened(self, opts: RunOptions, bindings: dict) -> RunResult:
+        profiler, injector = opts.profiler, opts.faults
         metrics = profiler.metrics if profiler is not None else None
         injected_before = len(injector.records) if injector is not None \
             else 0
         chain: list[tuple[str, dict | None]] = [("primary", {})]
-        if degrade:
+        if opts.degrade:
             for name, overrides in FALLBACK_CHAIN:
                 chain.append((name, overrides))
 
@@ -494,23 +461,16 @@ class Program:
                     continue
             try:
                 if overrides is None:  # the host-sequential last resort
-                    if data_region is not None:
+                    if opts.data_region is not None:
                         raise (last_exc if last_exc is not None else
                                SimulationError(
                                    "host-sequential fallback cannot run "
                                    "inside a device data region"))
-                    result = self._run_host(kwargs)
+                    result = self._run_host(bindings)
                 else:
-                    result = _vote(
-                        target, runs=runs, trace=trace,
-                        data_region=data_region, profiler=profiler,
-                        injector=injector, watchdog_budget=watchdog_budget,
-                        executor_mode=executor_mode, block_batch=block_batch,
-                        attribution=attribution,
-                        max_attempts=max_attempts, backoff_us=backoff_us,
-                        backoff_cap_us=backoff_cap_us, kwargs=kwargs,
-                        metrics=metrics, degradations=degradations)
-                if validate is not None and not validate(result):
+                    result = _vote(target, opts, bindings, metrics,
+                                   degradations)
+                if opts.validate is not None and not opts.validate(result):
                     if metrics is not None:
                         metrics.counter(
                             "faults.validation_failures").inc()
@@ -584,7 +544,7 @@ class Program:
                                                 self.device)
         return self._fallbacks[name]
 
-    def _run_host(self, kwargs: dict) -> RunResult:
+    def _run_host(self, bindings: dict) -> RunResult:
         """The last-resort strategy: sequential host interpretation.
 
         No kernels, no device memory, no fault-injection sites — by
@@ -594,7 +554,7 @@ class Program:
         """
         from repro.ir.interp import run_host
 
-        host = run_host(self.region, **kwargs)
+        host = run_host(self.region, **bindings)
         outputs = {
             a.name: np.array(host.arrays[a.name], copy=True)
             for a in self.region.arrays
@@ -620,27 +580,20 @@ def _as_injector(faults):
     return faults.injector()  # a FaultPlan
 
 
-def _execute_with_retry(prog: "Program", *, trace, data_region, profiler,
-                        injector, watchdog_budget, max_attempts, backoff_us,
-                        backoff_cap_us, kwargs, metrics, executor_mode=None,
-                        block_batch=None, attribution=False) -> RunResult:
+def _execute_with_retry(prog: "Program", opts: RunOptions, bindings: dict,
+                        metrics) -> RunResult:
     """Retry transient faults (launch/transfer) with capped backoff.
 
     The backoff is *modeled* time — no wall-clock sleep — charged to the
     successful attempt's ledger as ``retry:backoff`` entries, so retries
     are visible in the timing report.
     """
+    max_attempts = opts.max_attempts
     backoffs: list[float] = []
     attempt = 1
     while True:
         try:
-            res = prog._execute(trace=trace, data_region=data_region,
-                                profiler=profiler, faults=injector,
-                                watchdog_budget=watchdog_budget,
-                                executor_mode=executor_mode,
-                                block_batch=block_batch,
-                                attribution=attribution,
-                                kwargs=kwargs)
+            res = prog._execute(opts, bindings)
         except (KeyboardInterrupt, SystemExit):
             # an interrupt is not a transient fault: re-raise immediately
             # without consuming an attempt or charging backoff
@@ -658,8 +611,8 @@ def _execute_with_retry(prog: "Program", *, trace, data_region, profiler,
                 raise
             if metrics is not None:
                 metrics.counter("faults.retries").inc()
-            backoffs.append(min(backoff_us * (2 ** (attempt - 1)),
-                                backoff_cap_us))
+            backoffs.append(min(RETRY_BACKOFF_US * (2 ** (attempt - 1)),
+                                RETRY_BACKOFF_CAP_US))
             attempt += 1
             continue
         for us in backoffs:
@@ -668,24 +621,18 @@ def _execute_with_retry(prog: "Program", *, trace, data_region, profiler,
         return res
 
 
-def _vote(prog: "Program", *, runs, trace, data_region, profiler, injector,
-          watchdog_budget, max_attempts, backoff_us, backoff_cap_us,
-          kwargs, metrics, degradations, executor_mode=None,
-          block_batch=None, attribution=False) -> RunResult:
+def _vote(prog: "Program", opts: RunOptions, bindings: dict, metrics,
+          degradations) -> RunResult:
     """Redundant-execution majority voting over ``runs`` replicas.
 
     A silent bit-flip raises no exception; executing the program N times
     and comparing results bitwise turns it into either a corrected vote
     (majority agrees) or a :class:`SilentCorruptionError` (no majority).
     """
+    runs = opts.runs
+
     def once():
-        return _execute_with_retry(
-            prog, trace=trace, data_region=data_region, profiler=profiler,
-            injector=injector, watchdog_budget=watchdog_budget,
-            executor_mode=executor_mode, block_batch=block_batch,
-            attribution=attribution,
-            max_attempts=max_attempts, backoff_us=backoff_us,
-            backoff_cap_us=backoff_cap_us, kwargs=kwargs, metrics=metrics)
+        return _execute_with_retry(prog, opts, bindings, metrics)
 
     if runs <= 1:
         return once()

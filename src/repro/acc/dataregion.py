@@ -7,15 +7,17 @@ PCIe bandwidth without a surrounding data region.  This module provides
 one::
 
     with DataRegion(copy={"temp1": t1, "temp2": t2}) as region:
+        opts = RunOptions(data_region=region)
         for _ in range(iters):
-            update.run(data=region)      # no transfers: arrays are present
-            err = errprog.run(data=region)
+            update.run(opts)             # no transfers: arrays are present
+            err = errprog.run(opts)
     t1 = region.results["temp1"]         # copied out once, at region exit
 
-Programs executed with ``data=region`` share the region's device memory;
-any of their arrays already held by the region follow *present* semantics
-(no per-run allocation or transfer — the OpenACC ``present_or_copy``
-behaviour).  Arrays not held by the region keep their per-run transfers.
+Programs run with ``RunOptions(data_region=region)`` share the region's
+device memory; any of their arrays already held by the region follow
+*present* semantics (no per-run allocation or transfer — the OpenACC
+``present_or_copy`` behaviour).  Arrays not held by the region keep
+their per-run transfers.
 
 ``update_host`` / ``update_device`` model the OpenACC ``update`` directive
 for mid-region synchronization (the heat convergence check needs nothing —

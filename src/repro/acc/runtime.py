@@ -18,7 +18,7 @@ checking against every other binding source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +31,16 @@ from repro.ir.nodes import ArrayInfo, Region
 from repro.obs import timeline as _timeline
 
 __all__ = ["DataEnv"]
+
+
+def _options_hint(name: str) -> str:
+    """Error-message hint for a run option passed as a binding."""
+    from repro.acc.compiler import RunOptions
+
+    if name in {f.name for f in fields(RunOptions)}:
+        return (f"; run options go in a RunOptions passed positionally: "
+                f"run(RunOptions({name}=...), ...)")
+    return ""
 
 
 @dataclass
@@ -98,7 +108,8 @@ class DataEnv:
                 if name not in known_scalars:
                     raise RuntimeDataError(
                         f"{name!r} is not a scalar of this region "
-                        f"(scalars: {sorted(known_scalars)})")
+                        f"(scalars: {sorted(known_scalars)})"
+                        + _options_hint(name))
                 scalars[name] = value
 
         for arr in self.region.arrays:

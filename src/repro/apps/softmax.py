@@ -72,8 +72,9 @@ def softmax_result(x: np.ndarray, *, executor_mode: str | None = None,
     """Stable softmax of ``x`` with full telemetry."""
     x = np.ascontiguousarray(x, dtype=np.float32).reshape(-1)
     prog = _compile(x.size, **compile_kwargs)
-    res = prog.run(x=x, y=np.zeros_like(x), m=np.float32(-np.inf),
-                   s=np.float32(0.0), executor_mode=executor_mode)
+    res = prog.run(acc.RunOptions(executor_mode=executor_mode), x=x,
+                   y=np.zeros_like(x), m=np.float32(-np.inf),
+                   s=np.float32(0.0))
     names = tuple(k.name for k in prog.lowered.kernels)
     return SoftmaxResult(
         y=res.outputs["y"], max_value=float(res.scalars["m"]),

@@ -226,9 +226,10 @@ def measure(reps: int = 3, quick: bool = False,
                  case.make_inputs(np.random.default_rng(42)))
                 for case in cases]
     for mode in ("batched", "reference", "trace"):
-        def sweep(m=mode):
-            return [prog.run(executor_mode=m, **inputs)
-                    for prog, inputs in compiled]
+        opts = acc.RunOptions(executor_mode=mode)
+
+        def sweep():
+            return [prog.run(opts, **inputs) for prog, inputs in compiled]
         walls, results = _sample(sweep, reps)
         modeled = [sum(r.kernel_ms for r in results)] * reps
         add("table2_quick", "default", mode, reps, modeled, walls)
@@ -239,8 +240,8 @@ def measure(reps: int = 3, quick: bool = False,
     rprog = acc.compile(_REDUCTION_SRC, **rgeom)
     a = (np.arange(1 << (12 if quick else 16)) % 97).astype(np.float32)
     for mode in ("batched", "reference", "trace"):
-        walls, res = _sample(lambda m=mode: rprog.run(executor_mode=m, a=a),
-                             reps)
+        opts = acc.RunOptions(executor_mode=mode)
+        walls, res = _sample(lambda: rprog.run(opts, a=a), reps)
         add("reduction_64gang", "default", mode, reps,
             [res.kernel_ms] * reps, walls)
 

@@ -96,9 +96,10 @@ def _table2_workload(reps: int) -> dict:
 
     out = {}
     for mode in ("batched", "reference", "trace"):
-        def sweep(m=mode):
-            return [prog.run(executor_mode=m, **inputs)
-                    for _, prog, inputs in compiled]
+        opts = acc.RunOptions(executor_mode=mode)
+
+        def sweep():
+            return [prog.run(opts, **inputs) for _, prog, inputs in compiled]
         wall, results = _time_best(sweep, reps)
         out[mode] = {
             "wall_s": wall,
@@ -127,8 +128,8 @@ def _gang64_workload(reps: int) -> dict:
     a = (np.arange(1 << 16) % 97).astype(np.float32)
     out = {}
     for mode in ("batched", "reference", "trace"):
-        wall, res = _time_best(
-            lambda m=mode: prog.run(executor_mode=m, a=a), reps)
+        opts = acc.RunOptions(executor_mode=mode)
+        wall, res = _time_best(lambda: prog.run(opts, a=a), reps)
         out[mode] = {
             "wall_s": wall,
             "total_hex": np.asarray(res.scalars["total"]).tobytes().hex(),
@@ -170,8 +171,8 @@ def _trace_workload(reps: int) -> dict:
         inputs = case.make_inputs(np.random.default_rng(42))
         runs = {}
         for mode in ("reference", "batched", "trace"):
-            wall, res = _time_best(
-                lambda m=mode: prog.run(executor_mode=m, **inputs), reps)
+            opts = acc.RunOptions(executor_mode=mode)
+            wall, res = _time_best(lambda: prog.run(opts, **inputs), reps)
             runs[mode] = {
                 "wall_s": wall,
                 "modeled_ms": round(res.kernel_ms, 9),
@@ -216,7 +217,7 @@ def _attribution_guard() -> dict:
                        vector_length=32)
     a = (np.arange(1 << 12) % 97).astype(np.float32)
     plain = prog.run(a=a)
-    attributed = prog.run(attribution=True, a=a)
+    attributed = prog.run(acc.RunOptions(attribution=True), a=a)
     return {
         "off_allocates_nothing": all(
             st.attribution is None
@@ -356,8 +357,8 @@ def _telemetry_guard() -> dict:
                        vector_length=32)
     a = (np.arange(1 << 12) % 97).astype(np.float32)
 
-    def run_both(**kw):
-        return {m: prog.run(executor_mode=m, a=a, **kw)
+    def run_both():
+        return {m: prog.run(acc.RunOptions(executor_mode=m), a=a)
                 for m in ("batched", "reference")}
 
     # 1. disabled: no bus, and no allocation attributable to the bus
@@ -419,8 +420,8 @@ def _trace_guard() -> dict:
                        vector_length=32)
     a = (np.arange(1 << 12) % 97).astype(np.float32)
 
-    def run_both(**kw):
-        return {m: prog.run(executor_mode=m, a=a, **kw)
+    def run_both():
+        return {m: prog.run(acc.RunOptions(executor_mode=m), a=a)
                 for m in ("batched", "reference")}
 
     # 1. tracer off, no bus: no allocation attributable to trace.py

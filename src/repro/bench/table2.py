@@ -25,25 +25,14 @@ __all__ = ["generate_table2"]
 
 
 def generate_table2(quick: bool = False, ops=TABLE2_OPS,
-                    ctypes=TABLE2_CTYPES, progress=None, profiler=None,
-                    executor_mode: str | None = None,
-                    block_batch: int | None = None):
-    """Run the grid and return the report (Table 2).
-
-    ``executor_mode`` / ``block_batch`` pick the simulator's executor
-    path (modeled ms are identical either way; the bench smoke check uses
-    both to compare wall-clock).
-    """
+                    ctypes=TABLE2_CTYPES, progress=None, profiler=None):
+    """Run the grid and return the report (Table 2)."""
     if quick:
         return run_testsuite(ops=ops, ctypes=ctypes, size=512,
                              num_gangs=8, num_workers=4, vector_length=32,
-                             progress=progress, profiler=profiler,
-                             executor_mode=executor_mode,
-                             block_batch=block_batch)
+                             progress=progress, profiler=profiler)
     return run_testsuite(ops=ops, ctypes=ctypes, sizes=BENCH_SIZES,
-                         progress=progress, profiler=profiler,
-                         executor_mode=executor_mode,
-                         block_batch=block_batch)
+                         progress=progress, profiler=profiler)
 
 
 def main(argv=None) -> int:

@@ -26,7 +26,7 @@ fault sites and the same table, so a campaign failure is replayable.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -225,7 +225,10 @@ def run_campaign(source: str, *, seed: int = 0, trials: int = 50,
                        vector_length=vector_length, pipeline=pipeline)
     kwargs: dict = dict(inputs or {})
     synthesize_inputs(prog, kwargs, size)
-    ref = prog.run(watchdog_budget=watchdog_budget, **kwargs)
+    ref = prog.run(acc.RunOptions(watchdog_budget=watchdog_budget), **kwargs)
+    armed = acc.RunOptions(watchdog_budget=watchdog_budget, degrade=detect,
+                           runs=runs if detect else 1,
+                           max_attempts=max_attempts if detect else 1)
 
     kinds = [k for k, _, _ in FAULT_KINDS]
     outcomes: list[TrialOutcome] = []
@@ -239,10 +242,7 @@ def run_campaign(source: str, *, seed: int = 0, trials: int = 50,
             # the numeric warnings that triggers are expected, not a bug
             with warnings.catch_warnings(), np.errstate(all="ignore"):
                 warnings.simplefilter("ignore", RuntimeWarning)
-                res = prog.run(faults=injector, degrade=detect,
-                               runs=runs if detect else 1,
-                               max_attempts=max_attempts if detect else 1,
-                               watchdog_budget=watchdog_budget, **kwargs)
+                res = prog.run(replace(armed, faults=injector), **kwargs)
         except ReproError as exc:
             category = "detected" if injector.records else "clean"
             error = type(exc).__name__

@@ -1,7 +1,8 @@
 """The runtime fault injector: consumes a plan's RNG stream, records hits.
 
-One :class:`FaultInjector` is threaded through a run (``Program.run(
-faults=...)`` or ``CompiledKernel.run(faults=...)``); the simulator and
+One :class:`FaultInjector` is threaded through a run
+(``Program.run(RunOptions(faults=...))`` or
+``CompiledKernel.run(faults=...)``); the simulator and
 runtime query it at well-defined *sites*:
 
 * :meth:`on_gload` / :meth:`on_sload` — after a memory read gathers its
@@ -28,7 +29,7 @@ A block performs the same sequence of reads whether the executor walks
 blocks one at a time (``mode="reference"``) or advances them all together
 (the batched default), so per-block substreams make the injected
 (block, access, lane, bit) sites identical across executor modes and
-``block_batch`` sizes.  Callers that pass no ``block`` (direct unit-test
+block-chunk sizes.  Callers that pass no ``block`` (direct unit-test
 drives) fall back to the main stream.  Caveat: the global ``max_faults``
 cap disarms *all* streams once the record budget is spent, and the order
 in which concurrent blocks reach their sites differs between executor

@@ -762,7 +762,7 @@ class CompiledKernel:
     def run(self, gmem: GlobalMemory, grid_dim: int, block_dim: tuple[int, int],
             params: dict | None = None, trace: bool = False, *,
             faults=None, watchdog_budget: int | None = None,
-            mode: str | None = None, block_batch: int | None = None,
+            mode: str | None = None,
             attribution: bool = False) -> KernelStats:
         """Execute over ``grid_dim`` blocks of ``block_dim`` = (bdx, bdy).
 
@@ -771,9 +771,8 @@ class CompiledKernel:
 
         * ``"batched"`` (the default, ``None``) — all blocks of a chunk
           advance through each statement in one NumPy operation (see
-          :mod:`repro.gpu.executor_batched`); ``block_batch`` bounds the
-          chunk size (default
-          :data:`~repro.gpu.executor_batched.DEFAULT_BLOCK_BATCH`).
+          :mod:`repro.gpu.executor_batched`), in chunks of
+          :data:`~repro.gpu.executor_batched.DEFAULT_BLOCK_BATCH` blocks.
         * ``"reference"`` — one block at a time, the original executor.
 
         Both modes produce bit-identical results and
@@ -867,11 +866,10 @@ class CompiledKernel:
                 if mode == "trace":
                     from repro.gpu.executor_trace import run_trace
                     return run_trace(self, gmem, grid_dim, block_dim,
-                                     stats, params, budget, block_batch,
-                                     check=check)
+                                     stats, params, budget, check=check)
                 return run_batched(self, gmem, grid_dim, block_dim, stats,
                                    params, trace, faults, budget, stuck,
-                                   block_batch, check=check)
+                                   check=check)
             except _BatchHazard:
                 # blocks really did share a location: restore the
                 # pre-launch contents and rerun sequentially (sticky —

@@ -12,7 +12,8 @@ operation advances all blocks of a chunk through a statement.
 The contract is *bit identity* with the reference path: reduction
 results, every :class:`~repro.gpu.events.KernelStats` counter, and the
 fault-injection sites (via per-block RNG substreams,
-:mod:`repro.faults.injector`) are identical for any ``block_batch``.
+:mod:`repro.faults.injector`) are identical for any chunk size
+(:data:`DEFAULT_BLOCK_BATCH`).
 The non-obvious part is the statement-level segment-reuse model, whose
 per-slot cache chains *across* blocks in the reference executor; see
 :meth:`~repro.gpu.memory.GlobalMemory._count_transactions_batched` and
@@ -54,7 +55,8 @@ from repro.gpu.memory import (
 __all__ = ["BatchedBlockEnv", "run_batched", "DEFAULT_BLOCK_BATCH",
            "BatchSafety", "analyze_batch_safety"]
 
-#: default chunk size: bounds the working set ((blocks, threads) arrays)
+#: chunk size (blocks per chunk) of the batched and trace executors, read
+#: at launch time: bounds the working set ((blocks, threads) arrays)
 #: while amortizing statement dispatch over enough blocks to win
 DEFAULT_BLOCK_BATCH = 256
 
@@ -838,9 +840,9 @@ def _compile_block_batched(stmts: tuple, device: DeviceProperties,
 def run_batched(ck, gmem: GlobalMemory, grid_dim: int,
                 block_dim: tuple[int, int], stats: KernelStats,
                 params: dict, trace: bool, faults, budget: float,
-                stuck: bool, block_batch: int | None,
-                check: dict | None = None) -> KernelStats:
-    """Execute a validated launch over block chunks of ``block_batch``.
+                stuck: bool, check: dict | None = None) -> KernelStats:
+    """Execute a validated launch over chunks of
+    :data:`DEFAULT_BLOCK_BATCH` blocks.
 
     Called by :meth:`~repro.gpu.executor.CompiledKernel.run` after launch
     validation, fault-arming, and stats construction.  Results and
@@ -850,8 +852,7 @@ def run_batched(ck, gmem: GlobalMemory, grid_dim: int,
     at launch end.
     """
     bdx, bdy = block_dim
-    chunk = int(block_batch) if block_batch and block_batch > 0 \
-        else DEFAULT_BLOCK_BATCH
+    chunk = DEFAULT_BLOCK_BATCH
     body = ck._batched_body
     if body is None:
         body = ck._batched_body = _compile_block_batched(

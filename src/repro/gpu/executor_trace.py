@@ -46,6 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import BarrierDivergenceError, SimulationError
+from repro.gpu import executor_batched
 from repro.gpu import kernelir as K
 from repro.gpu.device import DeviceProperties
 from repro.gpu.executor import (
@@ -53,8 +54,8 @@ from repro.gpu.executor import (
 )
 from repro.gpu.affine import lane_affine_stmts
 from repro.gpu.executor_batched import (
-    DEFAULT_BLOCK_BATCH, BatchedBlockEnv, _BatchHazard, _compact_env,
-    _expand_env, _warps_per_block, _watchdog_trip, analyze_batch_safety,
+    BatchedBlockEnv, _BatchHazard, _compact_env, _expand_env,
+    _warps_per_block, _watchdog_trip, analyze_batch_safety,
 )
 from repro.gpu.memory import (
     AffineAccess, BatchedSharedMemory, GlobalMemory, finalize_segment_reuse,
@@ -1095,7 +1096,7 @@ def compile_trace_source(src: str):
 
 def run_trace(ck, gmem: GlobalMemory, grid_dim: int,
               block_dim: tuple[int, int], stats: KernelStats,
-              params: dict, budget: float, block_batch: int | None,
+              params: dict, budget: float,
               check: dict | None = None) -> KernelStats:
     """Execute a validated trace-mode launch over block chunks.
 
@@ -1103,14 +1104,13 @@ def run_trace(ck, gmem: GlobalMemory, grid_dim: int,
     discipline exactly (per-launch ``steps`` and segment-reuse state
     carry across chunks; checked-hazard state resets at chunk
     boundaries; the cross-block reuse correction runs once at launch
-    end) so results and counters are invariant under ``block_batch``.
+    end) so results and counters are invariant under the chunk size.
     Faults, stuck-warp mode, and TraceEvent collection never reach this
     driver — :meth:`~repro.gpu.executor.CompiledKernel.effective_mode`
     demotes those launches to the batched path.
     """
     bdx, bdy = block_dim
-    chunk = int(block_batch) if block_batch and block_batch > 0 \
-        else DEFAULT_BLOCK_BATCH
+    chunk = executor_batched.DEFAULT_BLOCK_BATCH
     fn = ck._trace_callable()
     seg_cache: dict = {}
     steps = 0

@@ -7,7 +7,7 @@ The observability layer over the SIMT simulator (see
 
     prof = obs.Profiler()
     prog = acc.compile(src, profiler=prof)     # compile-phase spans
-    res = prog.run(a=data, profiler=prof)      # kernels + transfers
+    res = prog.run(acc.RunOptions(profiler=prof), a=data)  # kernels, transfers
     print(prof.format_report())                # nvprof-style tables
     open("profile.json", "w").write(prof.to_json())  # chrome://tracing
 

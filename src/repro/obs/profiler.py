@@ -1,7 +1,7 @@
 """The profiler: one object the whole pipeline reports into.
 
 A :class:`Profiler` is handed to ``acc.compile(..., profiler=...)`` and
-``Program.run(profiler=...)`` (or to the raw
+``Program.run(RunOptions(profiler=...))`` (or to the raw
 :func:`repro.gpu.launch.launch`); the compile pipeline, the data
 environment, and the launch path then report into it:
 

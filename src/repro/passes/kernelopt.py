@@ -34,7 +34,7 @@ compares every case under ``minimal`` vs ``optimized`` on both executors):
     The finalize pass: stamp dense pre-order statement ids on every
     kernel.  Running it last (instead of inside the lowering) is what
     lets the rewrites above splice statements freely while attribution
-    and the launch cache still see dense, stable ids.
+    still sees dense, stable ids.
 """
 
 from __future__ import annotations

@@ -120,10 +120,6 @@ class PipelineSpec:
     name: str
     passes: tuple[str, ...]
 
-    def options_key(self) -> tuple:
-        """Hashable fingerprint for compile/launch caches."""
-        return (self.name, self.passes)
-
 
 PASS_REGISTRY: dict[str, Pass] = {}
 

@@ -10,14 +10,14 @@ parallel loop with one ``reduction`` clause per variable, an ``argmax``
 is the ``reduction(argmax:v,i)`` pragma extension, and a
 ``segmented_reduce`` is a ``#pragma acc atomic`` scatter.  Compiled
 programs are memoized per (source, geometry, compiler, pipeline,
-options) so repeated library calls pay compilation once and then hit
-the launch LRU like any other program.
+options) so repeated library calls pay compilation once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import acc
 from repro.dtypes import DType, from_numpy, is_integer
 from repro.errors import AnalysisError
 from repro.reduce.spec import ReductionSpec
@@ -88,8 +88,6 @@ def build_source(specs: tuple[ReductionSpec, ...],
 
 def _compile(source: str, *, compiler, pipeline, num_gangs, num_workers,
              vector_length, **options):
-    from repro import acc
-
     key = (source, compiler, repr(pipeline), num_gangs, num_workers,
            vector_length, tuple(sorted((k, repr(v))
                                        for k, v in options.items())))
@@ -104,7 +102,8 @@ def _compile(source: str, *, compiler, pipeline, num_gangs, num_workers,
 
 def tuple_reduce(arrays, specs, *, compiler: str = "openuh",
                  pipeline=None, num_gangs: int = 16, num_workers: int = 1,
-                 vector_length: int = 64, run_kwargs: dict | None = None,
+                 vector_length: int = 64,
+                 run_options: acc.RunOptions | None = None,
                  **options) -> tuple:
     """Reduce several same-length arrays in one parallel loop.
 
@@ -113,8 +112,9 @@ def tuple_reduce(arrays, specs, *, compiler: str = "openuh",
     per spec — a NumPy scalar for scalar reductions, a ``(value,
     index)`` pair for ``argmax``/``argmin`` specs.  Extra keyword
     ``options`` are ``acc.compile`` lowering overrides (pinned against
-    the autotuner as usual); ``run_kwargs`` forwards to ``Program.run``
-    (e.g. ``executor_mode="reference"``).
+    the autotuner as usual); ``run_options`` is the
+    :class:`~repro.acc.RunOptions` of the run (e.g.
+    ``RunOptions(executor_mode="reference")``).
     """
     specs = tuple(s if isinstance(s, ReductionSpec)
                   else ReductionSpec(op=s) for s in specs)
@@ -150,7 +150,7 @@ def tuple_reduce(arrays, specs, *, compiler: str = "openuh",
         if spec.is_pair:
             # index identity: "no element seen yet" — any real index wins
             kwargs[f"r{k}_i"] = np.int32(np.iinfo(np.int32).max)
-    res = prog.run(**kwargs, **(run_kwargs or {}))
+    res = prog.run(run_options, **kwargs)
     out = []
     for k, spec in enumerate(specs):
         if spec.is_pair:
@@ -194,7 +194,7 @@ def segmented_reduce(values, segments, num_segments: int, op: str = "+",
                      *, compiler: str = "openuh", pipeline=None,
                      num_gangs: int = 16, num_workers: int = 1,
                      vector_length: int = 64,
-                     run_kwargs: dict | None = None,
+                     run_options: acc.RunOptions | None = None,
                      **options) -> np.ndarray:
     """Per-segment reduction via an atomic scatter.
 
@@ -238,6 +238,5 @@ def segmented_reduce(values, segments, num_segments: int, op: str = "+",
                     num_gangs=num_gangs, num_workers=num_workers,
                     vector_length=vector_length, **options)
     seed = np.full(num_segments, spec.operator.identity(dt), dtype=dt.np)
-    res = prog.run(vals=vals, segs=segs, out=seed,
-                   **(run_kwargs or {}))
+    res = prog.run(run_options, vals=vals, segs=segs, out=seed)
     return res.outputs["out"]

@@ -11,8 +11,8 @@ multiplexes concurrent compile+run requests over a
 * per-device health via rolling-error-rate circuit breakers
   (quarantine → probation probes → re-admission), and
 * a content-addressed, crash-safe, on-disk compile cache
-  (:class:`~repro.serve.cache.CompileCache`) under the per-process
-  launch LRU.
+  (:class:`~repro.serve.cache.CompileCache`) under each device's
+  in-memory program memo.
 
 Every scheduling decision emits on the ``obs.timeline`` bus and the
 metrics registry; :mod:`repro.serve.loadgen` and

@@ -1,14 +1,15 @@
 """Content-addressed, crash-safe, on-disk compile cache.
 
-The launch LRU (:mod:`repro.gpu.launch`) memoizes compiled *closures*
-per process; this cache persists the expensive front half of compilation
-— parse, IR build, analysis, the whole pass pipeline — across processes.
-The stored artifact is the pickled :class:`~repro.codegen.lowering.
-LoweredProgram` (plus the pipeline name, autotune decisions, and the
-trace-codegen pass's generated NumPy source per eligible kernel), from
-which a :class:`~repro.acc.compiler.Program` is reconstructed in well
-under a millisecond; only the cheap per-kernel closure compilation is
-redone, and that is served by the launch LRU anyway.  Carrying the
+Each pooled device memoizes every :class:`~repro.acc.compiler.Program`
+it built (:meth:`~repro.serve.pool.PooledDevice.program_for`), and a
+Program keeps its compiled kernel closures; this cache persists the
+expensive front half of compilation — parse, IR build, analysis, the
+whole pass pipeline — across processes.  The stored artifact is the
+pickled :class:`~repro.codegen.lowering.LoweredProgram` (plus the
+pipeline name, autotune decisions, and the trace-codegen pass's
+generated NumPy source per eligible kernel), from which a Program is
+reconstructed in well under a millisecond; only the cheap per-kernel
+closure compilation is redone.  Carrying the
 trace source means a cache-served Program never re-runs trace codegen
 — the trace executor ``exec``\\ s the cached source directly.
 

@@ -35,11 +35,12 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro.acc.compiler import RunOptions
 from repro.errors import (
     AdmissionShedError, CircuitOpenError, DeadlineExceededError, ReproError,
-    ServiceRetriesExceededError,
+    ServiceError, ServiceRetriesExceededError,
 )
 from repro.obs import timeline as _timeline
 from repro.obs import trace as _trace
@@ -49,6 +50,11 @@ from repro.serve.pool import DevicePool, PooledDevice
 
 __all__ = ["ComputeRequest", "RequestResult", "ServeConfig", "Scheduler",
            "quantile"]
+
+#: the :class:`~repro.acc.RunOptions` fields a request may override
+#: through ``ComputeRequest.run_opts``; any other key is refused
+_RUN_OPTS_KEYS = frozenset(
+    ("runs", "max_attempts", "degrade", "watchdog_budget", "executor_mode"))
 
 
 @dataclass
@@ -70,7 +76,8 @@ class ComputeRequest:
     deadline_s: float | None = None
     #: per-request overrides of the config's hardening knobs
     #: (``runs``, ``max_attempts``, ``degrade``, ``watchdog_budget``,
-    #: ``executor_mode``)
+    #: ``executor_mode``); any other key gets an ``error`` verdict
+    #: (:class:`~repro.errors.ServiceError`) before a device is touched
     run_opts: dict = field(default_factory=dict)
 
 
@@ -187,6 +194,12 @@ class Scheduler:
         self.results: list[RequestResult] = []
         self.slo = SLOMonitor(SLOConfig(**self.config.slo))
         self._sampler = _trace.TailSampler(**self.config.trace_sampling)
+        cfg = self.config
+        #: run options of every dispatch before per-request overrides
+        self._run_base = RunOptions(
+            runs=cfg.runs, max_attempts=cfg.max_attempts,
+            degrade=cfg.degrade, watchdog_budget=cfg.watchdog_budget,
+            executor_mode=cfg.executor_mode)
         self._closed = False
 
     # -- lifecycle -------------------------------------------------------
@@ -353,17 +366,11 @@ class Scheduler:
             cache_status = "uncacheable"
         t1 = time.perf_counter()
 
-        cfg = self.config
-        opts = dict(runs=cfg.runs, max_attempts=cfg.max_attempts,
-                    degrade=cfg.degrade,
-                    watchdog_budget=cfg.watchdog_budget,
-                    executor_mode=cfg.executor_mode)
-        opts.update(req.run_opts)
-        res = prog.run(faults=dev.injector, **opts,
-                       **req.arrays, **req.scalars)
+        opts = replace(self._run_base, faults=dev.injector, **req.run_opts)
+        res = prog.run(opts, **req.arrays, **req.scalars)
         t2 = time.perf_counter()
         return {"scalars": res.scalars,
-                "outputs": res.outputs if cfg.keep_outputs else None,
+                "outputs": res.outputs if self.config.keep_outputs else None,
                 "strategy": res.strategy, "attempts": res.attempts,
                 "degradations": len(res.degradations),
                 "cache": cache_status,
@@ -450,6 +457,15 @@ class Scheduler:
         deadline_s = (req.deadline_s if req.deadline_s is not None
                       else self.config.default_deadline_s)
         pri = req.priority
+
+        unknown = sorted(set(req.run_opts) - _RUN_OPTS_KEYS)
+        if unknown:
+            self._decision("invalid", id=req.id, run_opts=unknown)
+            return self._finish(RequestResult(
+                id=req.id, status="error", priority=pri,
+                error=ServiceError.__name__,
+                message=f"unknown run_opts key(s) {unknown} "
+                        f"(allowed: {sorted(_RUN_OPTS_KEYS)})"), t0)
 
         # admission control: bounded queue per priority class
         if self._queued.get(pri, 0) >= self.config.queue_depth:
@@ -662,8 +678,6 @@ class Scheduler:
         }
 
     def report(self) -> dict:
-        from repro.gpu.launch import compile_cache_info
-
         by_status: dict[str, int] = {}
         for r in self.results:
             by_status[r.status] = by_status.get(r.status, 0) + 1
@@ -674,7 +688,6 @@ class Scheduler:
             "devices": self.pool.snapshot(),
             "compile_cache": (self.cache.stats()
                               if self.cache is not None else None),
-            "launch_cache": compile_cache_info(),
             "metrics": self.metrics.to_dict(),
             "slo": self.slo.snapshot(),
             "traces": self._sampler.stats(),

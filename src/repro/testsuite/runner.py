@@ -89,9 +89,7 @@ def run_testsuite(compilers=DEFAULT_COMPILERS, positions=POSITIONS,
                   num_workers: int | None = None,
                   vector_length: int | None = None,
                   progress=None, profiler=None,
-                  metrics=None, executor_mode: str | None = None,
-                  block_batch: int | None = None,
-                  attribution: bool = False) -> TestsuiteReport:
+                  metrics=None) -> TestsuiteReport:
     """Run the grid; ``progress`` (if given) is called per finished case.
 
     ``profiler`` (a :class:`repro.obs.Profiler`) accumulates kernel
@@ -109,9 +107,7 @@ def run_testsuite(compilers=DEFAULT_COMPILERS, positions=POSITIONS,
         for comp in compilers:
             r = run_case(case, comp, num_gangs=num_gangs,
                          num_workers=num_workers,
-                         vector_length=vector_length, profiler=profiler,
-                         executor_mode=executor_mode,
-                         block_batch=block_batch, attribution=attribution)
+                         vector_length=vector_length, profiler=profiler)
             report.results.append(r)
             if metrics is not None:
                 metrics.counter("testsuite.cases").inc()

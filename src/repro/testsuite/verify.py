@@ -53,19 +53,12 @@ def _matches(expected, got, ctype: str) -> bool:
 def run_case(case: ReductionCase, compiler: str = "openuh", *,
              num_gangs: int | None = None, num_workers: int | None = None,
              vector_length: int | None = None, seed: int = 42,
-             profiler=None, executor_mode: str | None = None,
-             block_batch: int | None = None, attribution: bool = False,
-             **compile_overrides) -> CaseResult:
+             profiler=None, **compile_overrides) -> CaseResult:
     """Compile and run one case; verify against the CPU reference.
 
     ``profiler`` (a :class:`repro.obs.Profiler`) accumulates the case's
     compile phases, transfers, and kernel launches — the testsuite sweep
     passes one profiler through every case to build a whole-run profile.
-    ``executor_mode`` / ``block_batch`` select the simulator's executor
-    path (see :meth:`repro.gpu.executor.CompiledKernel.run`); results are
-    identical either way, only wall-clock differs.  ``attribution=True``
-    fills per-statement tables on every launch's stats (visible through
-    the profiler's kernel records).
     """
     name = compiler if isinstance(compiler, str) else compiler.name
     try:
@@ -78,9 +71,7 @@ def run_case(case: ReductionCase, compiler: str = "openuh", *,
 
     rng = np.random.default_rng(seed)
     inputs = case.make_inputs(rng)
-    result = prog.run(profiler=profiler, executor_mode=executor_mode,
-                      block_batch=block_batch, attribution=attribution,
-                      **inputs)
+    result = prog.run(acc.RunOptions(profiler=profiler), **inputs)
 
     for kind, varname, expected in case.expected(inputs):
         got = (result.scalars[varname] if kind == "scalar"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import acc
+from repro.acc import RunOptions
 from repro.errors import RuntimeDataError
 from repro.acc.dataregion import DataRegion
 
@@ -33,21 +34,21 @@ class TestLifetime:
         a = np.ones(128, np.float32)
         with DataRegion(copy={"a": a}) as region:
             for _ in range(3):
-                prog.run(data_region=region)
+                prog.run(RunOptions(data_region=region))
         np.testing.assert_allclose(region.results["a"], 8.0)
 
     def test_original_host_array_untouched(self):
         prog = acc.compile(SCALE, **GEOM)
         a = np.ones(64, np.float32)
         with DataRegion(copy={"a": a}) as region:
-            prog.run(data_region=region)
+            prog.run(RunOptions(data_region=region))
         assert (a == 1.0).all()
 
     def test_no_per_run_transfers(self):
         prog = acc.compile(SUM, **GEOM)
         a = np.ones(4096, np.float32)
         with DataRegion(copyin={"a": a}) as region:
-            res = prog.run(data_region=region)
+            res = prog.run(RunOptions(data_region=region))
         labels = [lbl for lbl, _ in res.ledger.entries]
         assert not any(lbl.startswith("h2d:a") for lbl in labels)
         region_labels = [lbl for lbl, _ in region.ledger.entries]
@@ -61,7 +62,7 @@ class TestLifetime:
         naive = sum(prog.run(a=a).modeled_ms for _ in range(iters))
 
         with DataRegion(copyin={"a": a}) as region:
-            pooled = sum(prog.run(data_region=region).modeled_ms
+            pooled = sum(prog.run(RunOptions(data_region=region)).modeled_ms
                          for _ in range(iters))
         pooled += region.transfer_ms
         assert pooled < naive
@@ -71,8 +72,8 @@ class TestLifetime:
         total = acc.compile(SUM, **GEOM)
         a = np.ones(100, np.float32)
         with DataRegion(copy={"a": a}) as region:
-            scale.run(data_region=region)
-            res = total.run(data_region=region)
+            scale.run(RunOptions(data_region=region))
+            res = total.run(RunOptions(data_region=region))
         assert res.scalars["s"] == 200  # summed the scaled values
 
     def test_mixed_region_and_per_run_arrays(self):
@@ -87,14 +88,15 @@ class TestLifetime:
         prog = acc.compile(src, **GEOM)
         a = np.arange(32, dtype=np.float32)
         with DataRegion(copyin={"a": a}) as region:
-            res = prog.run(b=np.zeros(32, np.float32), data_region=region)
+            res = prog.run(RunOptions(data_region=region),
+                           b=np.zeros(32, np.float32))
         np.testing.assert_allclose(res.outputs["b"], a + 1)
 
     def test_region_held_outputs_not_in_run_outputs(self):
         prog = acc.compile(SCALE, **GEOM)
         a = np.ones(16, np.float32)
         with DataRegion(copy={"a": a}) as region:
-            res = prog.run(data_region=region)
+            res = prog.run(RunOptions(data_region=region))
             assert "a" not in res.outputs  # still device-resident
         assert "a" in region.results
 
@@ -104,10 +106,10 @@ class TestUpdateDirectives:
         prog = acc.compile(SCALE, **GEOM)
         a = np.ones(16, np.float32)
         with DataRegion(copy={"a": a}) as region:
-            prog.run(data_region=region)
+            prog.run(RunOptions(data_region=region))
             mid = region.update_host("a")
             np.testing.assert_allclose(mid, 2.0)
-            prog.run(data_region=region)
+            prog.run(RunOptions(data_region=region))
         np.testing.assert_allclose(region.results["a"], 4.0)
 
     def test_update_device_mid_region(self):
@@ -115,7 +117,7 @@ class TestUpdateDirectives:
         a = np.ones(16, np.float32)
         with DataRegion(copyin={"a": a}) as region:
             region.update_device("a", np.full(16, 3.0, np.float32))
-            res = prog.run(data_region=region)
+            res = prog.run(RunOptions(data_region=region))
         assert res.scalars["s"] == 48
 
     def test_update_unknown_name(self):
@@ -129,14 +131,14 @@ class TestValidation:
         prog = acc.compile(SCALE, **GEOM)
         region = DataRegion(copy={"a": np.ones(8, np.float32)})
         with pytest.raises(RuntimeDataError, match="not active"):
-            prog.run(data_region=region)
+            prog.run(RunOptions(data_region=region))
 
     def test_closed_region_rejected(self):
         prog = acc.compile(SCALE, **GEOM)
         with DataRegion(copy={"a": np.ones(8, np.float32)}) as region:
             pass
         with pytest.raises(RuntimeDataError, match="not active"):
-            prog.run(data_region=region)
+            prog.run(RunOptions(data_region=region))
 
     def test_empty_region_rejected(self):
         with pytest.raises(RuntimeDataError):

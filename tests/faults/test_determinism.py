@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro import acc
+from repro.acc import RunOptions
 from repro.faults import FaultPlan, run_campaign
 
 VECSUM = """
@@ -21,7 +22,7 @@ def _run_with(seed):
     a = np.arange(256, dtype=np.float32)
     inj = FaultPlan(seed=seed, p_gload_flip=0.05,
                     max_faults=None).injector()
-    res = prog.run(faults=inj, runs=3, degrade=True, a=a)
+    res = prog.run(RunOptions(faults=inj, runs=3, degrade=True), a=a)
     return inj, res
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import acc
+from repro.acc import RunOptions
 from repro.acc.compiler import FALLBACK_CHAIN
 from repro.errors import (
     DegradedExecutionError, KernelLaunchError, SilentCorruptionError,
@@ -40,7 +41,7 @@ class TestRetry:
         # the injector disarms, and the retry succeeds
         inj = FaultPlan(seed=0, p_launch_fail=1.0, max_faults=1).injector()
         prof = Profiler()
-        res = _compile().run(faults=inj, profiler=prof, a=a128)
+        res = _compile().run(RunOptions(faults=inj, profiler=prof), a=a128)
         assert res.attempts == 2
         assert res.scalars["total"] == a128.sum()
         assert res.strategy == "primary" and not res.degradations
@@ -54,13 +55,16 @@ class TestRetry:
     def test_retries_exhausted_raises_transient(self, a128):
         inj = FaultPlan(p_launch_fail=1.0, max_faults=None).injector()
         with pytest.raises(KernelLaunchError):
-            _compile().run(faults=inj, max_attempts=3, a=a128)
+            _compile().run(RunOptions(faults=inj, max_attempts=3), a=a128)
         assert len(inj.records) == 3
 
-    def test_backoff_is_capped_exponential(self, a128):
+    def test_backoff_is_capped_exponential(self, a128, monkeypatch):
+        import repro.acc.compiler as C
+
+        monkeypatch.setattr(C, "RETRY_BACKOFF_US", 100.0)
+        monkeypatch.setattr(C, "RETRY_BACKOFF_CAP_US", 250.0)
         inj = FaultPlan(p_launch_fail=1.0, max_faults=3).injector()
-        res = _compile().run(faults=inj, max_attempts=5, backoff_us=100.0,
-                             backoff_cap_us=250.0, a=a128)
+        res = _compile().run(RunOptions(faults=inj, max_attempts=5), a=a128)
         assert res.attempts == 4
         backoffs = [us for label, us in res.ledger.entries
                     if label == "retry:backoff"]
@@ -79,7 +83,7 @@ class TestDegradation:
             lambda *a, **k: (_ for _ in ()).throw(
                 SimulationError("injected lowering defect")))
         prof = Profiler()
-        res = prog.run(degrade=True, profiler=prof, a=a128)
+        res = prog.run(RunOptions(degrade=True, profiler=prof), a=a128)
         assert res.strategy == "shared-tree"
         assert res.degraded
         assert len(res.degradations) == 1
@@ -101,7 +105,7 @@ class TestDegradation:
             ex.CompiledKernel, "run",
             lambda *a, **k: (_ for _ in ()).throw(
                 SimulationError("device broken")))
-        res = _compile().run(degrade=True, a=a128)
+        res = _compile().run(RunOptions(degrade=True), a=a128)
         assert res.strategy == "host-sequential"
         assert res.scalars["total"] == a128.sum()
         assert [d.strategy for d in res.degradations] == \
@@ -115,7 +119,8 @@ class TestDegradation:
             lambda *a, **k: (_ for _ in ()).throw(
                 SimulationError("injected lowering defect")))
         with pytest.raises(SimulationError, match="lowering defect"):
-            prog.run(runs=1, degrade=False, validate=lambda r: True, a=a128)
+            prog.run(RunOptions(runs=1, degrade=False,
+                                validate=lambda r: True), a=a128)
 
     def test_validate_rejection_degrades(self, a128):
         calls = []
@@ -124,7 +129,8 @@ class TestDegradation:
             calls.append(res.scalars["total"])
             return len(calls) > 1  # reject the primary, accept the fallback
 
-        res = _compile().run(degrade=True, validate=validator, a=a128)
+        res = _compile().run(RunOptions(degrade=True, validate=validator),
+                             a=a128)
         assert res.strategy == "shared-tree"
         assert len(calls) == 2
         assert res.scalars["total"] == a128.sum()
@@ -137,7 +143,8 @@ class TestVoting:
         inj = FaultPlan(seed=1, p_transfer_corrupt=1.0,
                         max_faults=1).injector()
         prof = Profiler()
-        res = _compile().run(faults=inj, runs=3, profiler=prof, a=a128)
+        res = _compile().run(RunOptions(faults=inj, runs=3, profiler=prof),
+                             a=a128)
         assert res.scalars["total"] == a128.sum()
         assert any("vote" in str(d) for d in res.degradations)
         counters = prof.metrics.to_dict()["counters"]
@@ -145,7 +152,7 @@ class TestVoting:
         assert counters["faults.silent_corruption_detected"] == 1.0
 
     def test_unanimous_vote_is_clean(self, a128):
-        res = _compile().run(runs=3, a=a128)
+        res = _compile().run(RunOptions(runs=3), a=a128)
         assert res.scalars["total"] == a128.sum()
         assert not res.degradations and res.strategy == "primary"
 
@@ -156,7 +163,7 @@ class TestVoting:
         monkeypatch.setattr(C, "_fingerprint",
                             lambda res: next(fingerprints))
         with pytest.raises(SilentCorruptionError, match="majority"):
-            _compile().run(runs=3, degrade=False, a=a128)
+            _compile().run(RunOptions(runs=3, degrade=False), a=a128)
 
 
 class TestInterruptsNeverRetried:
@@ -170,7 +177,7 @@ class TestInterruptsNeverRetried:
         calls = {"n": 0}
         real = Program._execute
 
-        def boom(self, **kw):
+        def boom(self, opts, bindings):
             calls["n"] += 1
             raise exc_type()
 
@@ -185,7 +192,7 @@ class TestInterruptsNeverRetried:
         prog = _compile()
         with pytest.raises(exc_type):
             # every hardening layer armed: retries, voting, degradation
-            prog.run(max_attempts=5, runs=3, degrade=True, a=a128)
+            prog.run(RunOptions(max_attempts=5, runs=3, degrade=True), a=a128)
         assert calls["n"] == 1
 
     @pytest.mark.parametrize("exc_type", [KeyboardInterrupt, SystemExit])
@@ -197,7 +204,7 @@ class TestInterruptsNeverRetried:
         inj = FaultPlan(seed=0, p_launch_fail=0.0).injector()
         prog = _compile()
         with pytest.raises(exc_type):
-            prog.run(faults=inj, max_attempts=4, a=a128)
+            prog.run(RunOptions(faults=inj, max_attempts=4), a=a128)
         assert calls["n"] == 1
 
 
@@ -225,9 +232,9 @@ class TestWatchdogDegradeBatched:
         assert ref.strategy == "primary"
 
         inj = FaultPlan(seed=3, p_stuck_warp=1.0, max_faults=1).injector()
-        res = self._compile_int().run(
+        res = self._compile_int().run(RunOptions(
             faults=inj, executor_mode="batched", watchdog_budget=2000,
-            max_attempts=1, degrade=True, a=a)
+            max_attempts=1, degrade=True), a=a)
         # the hang was detected (not absorbed silently)...
         assert any(r.kind == "stuck-warp" for r in inj.records)
         # ...the chain walked past the stuck strategy...
@@ -245,9 +252,9 @@ class TestWatchdogDegradeBatched:
         for mode in ("batched", "reference"):
             inj = FaultPlan(seed=3, p_stuck_warp=1.0,
                             max_faults=1).injector()
-            res = self._compile_int().run(
+            res = self._compile_int().run(RunOptions(
                 faults=inj, executor_mode=mode, watchdog_budget=2000,
-                max_attempts=1, degrade=True, a=a)
+                max_attempts=1, degrade=True), a=a)
             results[mode] = res.scalars["s"]
         assert results["batched"].tobytes() == \
             results["reference"].tobytes()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.acc import RunOptions
 from repro.errors import SimulationError, WatchdogTimeoutError
 from repro.faults import FaultPlan
 from repro.gpu import GlobalMemory, K20C
@@ -76,5 +77,6 @@ class TestStuckWarpMode:
         a = np.ones(128, dtype=np.float32)
         inj = FaultPlan(seed=0, p_stuck_warp=1.0).injector()
         with pytest.raises(SimulationError):
-            prog.run(faults=inj, watchdog_budget=2000, max_attempts=1, a=a)
+            prog.run(RunOptions(faults=inj, watchdog_budget=2000,
+                                max_attempts=1), a=a)
         assert any(r.kind == "stuck-warp" for r in inj.records)

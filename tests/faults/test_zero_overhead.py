@@ -5,6 +5,7 @@ plain execution path, mirroring the profiler's pure-observer guarantee."""
 import numpy as np
 
 from repro import acc
+from repro.acc import RunOptions
 
 SRC = """
 float a[n];
@@ -29,8 +30,7 @@ class TestZeroOverhead:
         prog = acc.compile(SRC, num_gangs=4, num_workers=2,
                            vector_length=32)
         via_run = prog.run(**_inputs())
-        plain = prog._execute(trace=False, data_region=None, profiler=None,
-                              kwargs=_inputs())
+        plain = prog._execute(RunOptions(), _inputs())
 
         assert via_run.strategy == "primary"
         assert via_run.attempts == 1 and not via_run.degradations
@@ -44,14 +44,36 @@ class TestZeroOverhead:
         assert via_run.ledger.entries == plain.ledger.entries
         assert set(via_run.kernel_stats) == set(plain.kernel_stats)
 
+    def test_default_run_shares_one_options_object(self, monkeypatch):
+        """A run without options reuses the module default (no per-call
+        allocation) and never enters the hardened path."""
+        from repro.acc import compiler
+
+        prog = acc.compile(SRC, num_gangs=4, num_workers=2,
+                           vector_length=32)
+        seen = []
+        plain = prog._execute
+
+        def spy(opts, bindings):
+            seen.append(opts)
+            return plain(opts, bindings)
+
+        monkeypatch.setattr(prog, "_execute", spy)
+        monkeypatch.setattr(prog, "_run_hardened", None)
+        prog.run(**_inputs())
+        prog.run(**_inputs())
+        assert len(seen) == 2
+        assert all(o is compiler._DEFAULT_OPTIONS for o in seen)
+
     def test_default_watchdog_does_not_change_stats(self):
         """The watchdog counts loop steps on existing control flow; it must
         not add events, transactions, or modeled time."""
         prog = acc.compile(SRC, num_gangs=4, num_workers=2,
                            vector_length=32)
         base = prog.run(**_inputs())
-        budgeted = prog.run(watchdog_budget=10_000_000, **_inputs())
-        disabled = prog.run(watchdog_budget=0, **_inputs())
+        budgeted = prog.run(RunOptions(watchdog_budget=10_000_000),
+                            **_inputs())
+        disabled = prog.run(RunOptions(watchdog_budget=0), **_inputs())
         for other in (budgeted, disabled):
             assert other.ledger.entries == base.ledger.entries
             assert other.scalars["total"].tobytes() == \

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import acc
+from repro.acc import RunOptions
 from repro.dtypes import DType
 from repro.gpu import GlobalMemory, K20C
 from repro.gpu import kernelir as K
@@ -233,7 +234,7 @@ class TestTable2Engagement:
     def test_no_enumerated_global_access(self, programs, mode, spy):
         for case, prog in programs:
             spy.clear()
-            prog.run(executor_mode=mode,
+            prog.run(RunOptions(executor_mode=mode),
                      **case.make_inputs(np.random.default_rng(0)))
             enumerated = sorted({b for b, closed in spy if not closed})
             assert spy and not enumerated, (case.label, enumerated)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import acc
+from repro.acc import RunOptions
 from repro.faults import FaultInjector, FaultPlan
 from repro.testsuite.cases import POSITIONS, generate_cases, make_case
 
@@ -31,7 +32,7 @@ def counters(stats):
 def run_case_mode(case, mode, faults=None):
     prog = acc.compile(case.source, **GEOM)
     inputs = case.make_inputs(np.random.default_rng(42))
-    return prog.run(executor_mode=mode, faults=faults, **inputs)
+    return prog.run(RunOptions(executor_mode=mode, faults=faults), **inputs)
 
 
 def assert_identical(res_b, res_r):
@@ -108,7 +109,7 @@ class TestGoldenWorkerVector:
         prog = acc.compile(case.source, num_gangs=4, num_workers=4,
                            vector_length=32)
         inputs = case.make_inputs(np.random.default_rng(42))
-        res = prog.run(executor_mode=mode, **inputs)
+        res = prog.run(RunOptions(executor_mode=mode), **inputs)
         assert counters(res.kernel_stats["acc_region_main"]) \
             == self.GOLDEN_MAIN
         assert res.outputs["out"].tobytes().hex() == self.GOLDEN_OUT_HEX

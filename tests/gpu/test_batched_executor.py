@@ -1,10 +1,11 @@
 """Batched-block executor: bit-identity with the reference path.
 
 The contract under test (see :mod:`repro.gpu.executor_batched`): for any
-``block_batch``, results, every :class:`~repro.gpu.events.KernelStats`
-counter, and raised errors match the reference executor exactly; kernels
-whose blocks communicate through global memory are detected by the
-static analysis and degrade to the reference path.
+chunk size (``DEFAULT_BLOCK_BATCH``), results, every
+:class:`~repro.gpu.events.KernelStats` counter, and raised errors match
+the reference executor exactly; kernels whose blocks communicate through
+global memory are detected by the static analysis and degrade to the
+reference path.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.errors import (
     BarrierDivergenceError, SimulationError, WatchdogTimeoutError,
 )
 from repro.gpu.device import K20C
+from repro.gpu import executor_batched
 from repro.gpu.executor import CompiledKernel
 from repro.gpu.kernelir import (
     Assign, AtomicUpdate, Bin, Const, GLoad, GStore, If, Kernel, Param,
@@ -70,13 +72,13 @@ def block_sum_kernel():
                   shared=(SharedArraySpec("sdata", DType.INT, 64),))
 
 
-def run_block_sum(n=1000, grid=7, mode=None, block_batch=None, trace=False):
+def run_block_sum(n=1000, grid=7, mode=None, trace=False):
     g = GlobalMemory(K20C)
     g.alloc("in", n, DType.INT, init=np.arange(n) % 13)
     g.alloc("out", grid, DType.INT)
     ck = CompiledKernel(block_sum_kernel(), K20C)
     stats = ck.run(g, grid, (64, 1), params={"N": np.int32(n)},
-                   trace=trace, mode=mode, block_batch=block_batch)
+                   trace=trace, mode=mode)
     return g["out"].data.copy(), stats
 
 
@@ -87,10 +89,11 @@ class TestBitIdentity:
         np.testing.assert_array_equal(out_bat, out_ref)
         assert counters(st_bat) == counters(st_ref)
 
-    @pytest.mark.parametrize("block_batch", [1, 2, 7, 256])
-    def test_invariant_under_chunk_size(self, block_batch):
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 256])
+    def test_invariant_under_chunk_size(self, chunk, monkeypatch):
         out_ref, st_ref = run_block_sum(mode="reference")
-        out, st = run_block_sum(block_batch=block_batch)
+        monkeypatch.setattr(executor_batched, "DEFAULT_BLOCK_BATCH", chunk)
+        out, st = run_block_sum()
         np.testing.assert_array_equal(out, out_ref)
         assert counters(st) == counters(st_ref)
 

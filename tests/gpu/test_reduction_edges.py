@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import acc
+from repro.acc import RunOptions
 
 MODES = ("batched", "reference", "trace")
 GEOM = dict(num_gangs=4, num_workers=2, vector_length=32)
@@ -43,27 +44,28 @@ for (i = 0; i < n; i++)
 class TestZeroTrip:
     @pytest.mark.parametrize("mode", MODES)
     def test_sum_keeps_initial_scalar(self, mode):
-        res = _sum_prog().run(executor_mode=mode,
+        res = _sum_prog().run(RunOptions(executor_mode=mode),
                               a=np.empty(0, np.float32))
         assert res.scalars["total"] == np.float32(7.5)
         assert res.scalars["total"].dtype == np.float32
 
     @pytest.mark.parametrize("mode", MODES)
     def test_product_keeps_initial_scalar(self, mode):
-        res = _prod_prog().run(executor_mode=mode, a=np.empty(0, np.int32))
+        res = _prod_prog().run(RunOptions(executor_mode=mode),
+                               a=np.empty(0, np.int32))
         assert res.scalars["total"] == np.int32(3)
 
 
 class TestSingleTrip:
     @pytest.mark.parametrize("mode", MODES)
     def test_sum_applies_one_combine_exactly(self, mode):
-        res = _sum_prog().run(executor_mode=mode,
+        res = _sum_prog().run(RunOptions(executor_mode=mode),
                               a=np.array([2.0], np.float32))
         assert res.scalars["total"] == np.float32(9.5)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_product_applies_one_combine_exactly(self, mode):
-        res = _prod_prog().run(executor_mode=mode,
+        res = _prod_prog().run(RunOptions(executor_mode=mode),
                                a=np.array([5], np.int32))
         assert res.scalars["total"] == np.int32(15)
 
@@ -74,7 +76,8 @@ class TestNonPowerOfTwoTrips:
     def test_int_sum_exact(self, n):
         prog = _sum_prog("int")
         a = (np.arange(n) % 13).astype(np.int32)
-        results = {m: prog.run(executor_mode=m, a=a) for m in MODES}
+        results = {m: prog.run(RunOptions(executor_mode=m), a=a)
+                   for m in MODES}
         for res in results.values():
             assert res.scalars["total"] == np.int32(a.sum() + 7)
         assert (results["batched"].scalars["total"].tobytes()
@@ -84,7 +87,8 @@ class TestNonPowerOfTwoTrips:
     def test_float_sum_modes_agree_bitwise(self, n):
         prog = _sum_prog()
         a = ((np.arange(n) % 7) / 4.0).astype(np.float32)
-        results = {m: prog.run(executor_mode=m, a=a) for m in MODES}
+        results = {m: prog.run(RunOptions(executor_mode=m), a=a)
+                   for m in MODES}
         ref = results["reference"].scalars["total"].tobytes()
         for m in MODES:
             assert results[m].scalars["total"].tobytes() == ref, m
@@ -107,7 +111,7 @@ for (i = 0; i < n; i++)
 
 def _tri_run(prog, a):
     """Run all three executors; assert bitwise agreement; return one."""
-    results = {m: prog.run(executor_mode=m, a=a) for m in MODES}
+    results = {m: prog.run(RunOptions(executor_mode=m), a=a) for m in MODES}
     ref = results["reference"].scalars["total"]
     for m in MODES:
         assert results[m].scalars["total"].tobytes() == ref.tobytes(), \

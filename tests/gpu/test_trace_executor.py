@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 from repro import acc
+from repro.acc import RunOptions
 from repro.dtypes import DType
 from repro.errors import WatchdogTimeoutError
 from repro.faults import FaultInjector, FaultPlan
-from repro.gpu import GlobalMemory, K20C
+from repro.gpu import GlobalMemory, K20C, executor_batched
 from repro.gpu.executor import CompiledKernel
 from repro.gpu.executor_trace import (
     analyze_trace_safety, compile_trace_source, emit_trace_source,
@@ -55,7 +56,8 @@ def _stats_dict(st):
 def _run_all_modes(prog, inputs):
     out = {}
     for mode in MODES:
-        res = prog.run(executor_mode=mode, attribution=True, **inputs)
+        res = prog.run(RunOptions(executor_mode=mode, attribution=True),
+                       **inputs)
         bits = {n: np.asarray(v).tobytes() for n, v in res.scalars.items()}
         bits.update({n: np.asarray(v).tobytes()
                      for n, v in res.outputs.items()})
@@ -92,13 +94,14 @@ class TestBitIdentity:
         for mode in MODES[1:]:
             assert out[mode] == out["reference"], mode
 
-    def test_trace_respects_block_batch_chunking(self):
+    def test_trace_respects_block_batch_chunking(self, monkeypatch):
         prog = acc.compile(_SUM_SRC, num_gangs=8, num_workers=2,
                            vector_length=32)
         a = ((np.arange(997) % 13) / 8.0).astype(np.float32)
-        ref = prog.run(executor_mode="reference", a=a)
+        ref = prog.run(RunOptions(executor_mode="reference"), a=a)
         for bb in (1, 3, 8):
-            res = prog.run(executor_mode="trace", block_batch=bb, a=a)
+            monkeypatch.setattr(executor_batched, "DEFAULT_BLOCK_BATCH", bb)
+            res = prog.run(RunOptions(executor_mode="trace"), a=a)
             assert (res.scalars["total"].tobytes()
                     == ref.scalars["total"].tobytes()), bb
 
@@ -188,10 +191,10 @@ class TestCheckedFallback:
                            vector_length=32)
         a = ((np.arange(500) % 7) / 4.0).astype(np.float32)
         plan = FaultPlan.single("gload-flip", seed=99)
-        res_tr = prog.run(executor_mode="trace", faults=plan,
-                          max_attempts=1, a=a)
-        res_ba = prog.run(executor_mode="batched", faults=plan,
-                          max_attempts=1, a=a)
+        res_tr = prog.run(RunOptions(executor_mode="trace", faults=plan,
+                                     max_attempts=1), a=a)
+        res_ba = prog.run(RunOptions(executor_mode="batched", faults=plan,
+                                     max_attempts=1), a=a)
         assert (res_tr.scalars["total"].tobytes()
                 == res_ba.scalars["total"].tobytes())
 
@@ -201,7 +204,7 @@ class TestCheckedFallback:
         a = np.ones(100, np.float32)
         inj = FaultInjector(FaultPlan(seed=3))  # armed, nothing fires
         with timeline.enabled() as tl:
-            prog.run(executor_mode="trace", faults=inj, a=a)
+            prog.run(RunOptions(executor_mode="trace", faults=inj), a=a)
             decisions = [e for e in tl.events("gpu", "decision")
                          if e.name == "executor-mode"]
         assert decisions
@@ -215,7 +218,7 @@ class TestCheckedFallback:
                            vector_length=32)
         a = np.ones(100, np.float32)
         with timeline.enabled() as tl:
-            prog.run(executor_mode="trace", a=a)
+            prog.run(RunOptions(executor_mode="trace"), a=a)
             decisions = [e for e in tl.events("gpu", "decision")
                          if e.name == "executor-mode"
                          and e.attrs["mode"] == "trace"]
@@ -229,9 +232,9 @@ class TestCheckedFallback:
         prog = acc.compile(_SUM_SRC, num_gangs=4, num_workers=2,
                            vector_length=32)
         a = np.ones(100, np.float32)
-        res = prog.run(executor_mode="trace", trace=True, a=a)
+        res = prog.run(RunOptions(executor_mode="trace", trace=True), a=a)
         assert any(st.trace for st in res.kernel_stats.values())
-        plain = prog.run(executor_mode="trace", a=a)
+        plain = prog.run(RunOptions(executor_mode="trace"), a=a)
         assert (res.scalars["total"].tobytes()
                 == plain.scalars["total"].tobytes())
 
@@ -240,4 +243,4 @@ class TestCheckedFallback:
                            vector_length=32)
         a = np.ones(1 << 14, np.float32)
         with pytest.raises(WatchdogTimeoutError):
-            prog.run(executor_mode="trace", watchdog_budget=2, a=a)
+            prog.run(RunOptions(executor_mode="trace", watchdog_budget=2), a=a)

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro import acc, obs
+from repro.acc import RunOptions
 from repro.dtypes import DType
 from repro.faults import FaultInjector, FaultPlan
 from repro.gpu import GlobalMemory, K20C, launch
@@ -57,8 +58,8 @@ CASES = generate_cases(positions=POSITIONS, ops=("+", "*", "max", "min"),
 def run_attr(case, mode, faults=None, **compile_overrides):
     prog = acc.compile(case.source, **GEOM, **compile_overrides)
     inputs = case.make_inputs(np.random.default_rng(42))
-    res = prog.run(executor_mode=mode, faults=faults, attribution=True,
-                   **inputs)
+    res = prog.run(RunOptions(executor_mode=mode, faults=faults,
+                              attribution=True), **inputs)
     return prog, res
 
 
@@ -237,7 +238,7 @@ class TestZeroOverhead:
         inputs = case.make_inputs(np.random.default_rng(42))
         prog = acc.compile(case.source, **GEOM)
         plain = prog.run(**inputs)
-        attributed = prog.run(attribution=True, **inputs)
+        attributed = prog.run(RunOptions(attribution=True), **inputs)
         for var in plain.scalars:
             assert (np.asarray(plain.scalars[var]).tobytes()
                     == np.asarray(attributed.scalars[var]).tobytes())
@@ -253,7 +254,7 @@ class TestRenderings:
         case = make_case("gang worker vector", "+", "float", size=640)
         prof = obs.Profiler()
         prog = acc.compile(case.source, **GEOM, profiler=prof)
-        res = prog.run(profiler=prof, attribution=True,
+        res = prog.run(RunOptions(profiler=prof, attribution=True),
                        **case.make_inputs(np.random.default_rng(42)))
         return prof, prog, res
 
@@ -319,7 +320,7 @@ class TestRenderings:
         case = make_case("gang", "+", "float", size=160)
         prof2 = obs.Profiler()
         prog2 = acc.compile(case.source, **GEOM)
-        prog2.run(profiler=prof2,
+        prog2.run(RunOptions(profiler=prof2),
                   **case.make_inputs(np.random.default_rng(42)))
         plain = prof2.kernels[0].to_dict()
         assert "attribution" not in plain and "roofline" not in plain

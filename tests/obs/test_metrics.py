@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.acc import RunOptions
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -188,12 +189,12 @@ for (i = 0; i < n; i++)
         profiler = Profiler()
         timeline.uninstall()
         with timeline.enabled() as tl:
-            prog.run(profiler=profiler, a=a)
+            prog.run(RunOptions(profiler=profiler), a=a)
             first_launches = profiler.metrics.counter(
                 "profiler.kernel_launches").value
             first_events = tl.drain()
             profiler.metrics.reset()
-            prog.run(profiler=profiler, a=a)
+            prog.run(RunOptions(profiler=profiler), a=a)
             second_events = tl.drain()
         assert first_launches > 0
         assert (profiler.metrics.counter("profiler.kernel_launches").value

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro import acc
+from repro.acc import RunOptions
 from repro.obs import Profiler, format_profile
 
 VECSUM = """
@@ -29,7 +30,8 @@ def profiled_run():
     # the optimized pipeline fuses the finish kernel and retunes, which
     # tests/passes cover separately
     prog = acc.compile(VECSUM, profiler=prof, **GEOM, pipeline="minimal")
-    res = prog.run(a=np.arange(N, dtype=np.float32), profiler=prof)
+    res = prog.run(RunOptions(profiler=prof),
+                   a=np.arange(N, dtype=np.float32))
     return prof, prog, res
 
 
@@ -114,7 +116,8 @@ class TestTraceOutput:
     def test_structured_trace_consumed_when_enabled(self):
         prof = Profiler()
         prog = acc.compile(VECSUM, profiler=prof, **GEOM)
-        prog.run(a=np.ones(N, dtype=np.float32), profiler=prof, trace=True)
+        prog.run(RunOptions(profiler=prof, trace=True),
+                 a=np.ones(N, dtype=np.float32))
         main = prof.kernels_named("acc_region_main")[0]
         assert len(main.stats.trace) > 0
         assert prof.metrics.counter("profiler.trace_events.gload").value > 0
@@ -131,7 +134,7 @@ class TestAccumulation:
                            pipeline="minimal")
         a = np.ones(N, dtype=np.float32)
         for _ in range(3):
-            prog.run(a=a, profiler=prof)
+            prog.run(RunOptions(profiler=prof), a=a)
         m = prof.metrics
         assert m.counter("profiler.kernel_launches").value == 6
         assert m.counter("profiler.transfers").value == 6  # h2d:a + d2h result per run
@@ -147,7 +150,7 @@ class TestAccumulation:
         bare = acc.compile(VECSUM, **GEOM).run(a=a)
         prof = Profiler()
         seen = acc.compile(VECSUM, profiler=prof, **GEOM).run(
-            a=a, profiler=prof)
+            RunOptions(profiler=prof), a=a)
         assert bare.scalars["total"] == seen.scalars["total"]
         assert bare.ledger.total_us == pytest.approx(seen.ledger.total_us)
 

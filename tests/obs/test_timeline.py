@@ -26,10 +26,10 @@ def _no_leaked_bus():
     timeline.uninstall()
 
 
-def run_once(**kw):
+def run_once(**options):
     prog = acc.compile(SRC, num_gangs=8, num_workers=2, vector_length=32)
     a = (np.arange(1 << 10) % 7).astype(np.float32)
-    return prog.run(a=a, **kw)
+    return prog.run(acc.RunOptions(**options), a=a)
 
 
 class TestBus:

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 
+from repro.acc import RunOptions
 from repro.obs.trace import CounterSample, Span, TraceRecorder
 
 
@@ -111,7 +112,7 @@ for (i = 0; i < n; i++)
         prof = obs.Profiler()
         prog = acc.compile(self.SRC, num_gangs=4, num_workers=2,
                            vector_length=32, profiler=prof)
-        prog.run(profiler=prof,
+        prog.run(RunOptions(profiler=prof),
                  a=(np.arange(256) % 7).astype(np.float32))
         return prof, json.loads(prof.to_json())
 

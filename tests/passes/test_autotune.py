@@ -4,6 +4,7 @@ and the visibility of its decisions."""
 import numpy as np
 
 from repro import acc
+from repro.acc import RunOptions
 
 INT_GANG = """
 float a[n];
@@ -102,7 +103,7 @@ class TestVisibility:
 
         prof = Profiler()
         prog = acc.compile(INT_GANG, **GEOM, profiler=prof)
-        prog.run(a=np.ones(1024, dtype=np.float32), profiler=prof)
+        prog.run(RunOptions(profiler=prof), a=np.ones(1024, dtype=np.float32))
         rec = prof.kernels_named("acc_region_main")[0]
         assert rec.strategy["pipeline"] == "optimized"
         if "autotune" in prog.strategy:

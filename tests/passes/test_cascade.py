@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import acc
+from repro.acc import RunOptions
 from repro.apps.softmax import SOFTMAX_SRC, softmax_result
 from repro.errors import IRVerificationError
 from repro.obs import timeline
@@ -39,7 +40,7 @@ def _x(n=256, seed=3):
 
 
 def _run_bits(prog, x, mode="batched", **kw):
-    res = prog.run(x=x, executor_mode=mode, **kw)
+    res = prog.run(RunOptions(executor_mode=mode), x=x, **kw)
     return {name: np.asarray(val).tobytes()
             for name, val in res.scalars.items()}
 
@@ -100,7 +101,7 @@ class TestFusion:
         baseline = None
         for name, prog in progs.items():
             for mode in ("reference", "batched", "trace"):
-                res = prog.run(x=x, executor_mode=mode, **kw)
+                res = prog.run(RunOptions(executor_mode=mode), x=x, **kw)
                 bits = (res.outputs["y"].tobytes(),
                         np.asarray(res.scalars["s"]).tobytes(),
                         np.asarray(res.scalars["m"]).tobytes())
@@ -204,7 +205,7 @@ for (i = 0; i < n; i++) s = s + (x[i] - m);
         assert evs[0].attrs["fused"] is False
         assert evs[0].attrs["reason"] == "pair-reduction"
         x = _x()
-        res = prog.run(x=x, executor_mode="batched")
+        res = prog.run(RunOptions(executor_mode="batched"), x=x)
         assert float(res.scalars["m"]) == x.max()
         assert int(res.scalars["mi"]) == int(np.argmax(x))
 
@@ -293,8 +294,8 @@ for (i = 0; i < n; i++) if (x[i] < m) { m = x[i]; mi = i; }
         x[40] = np.float32(-0.0)
         x[70] = np.float32(0.0)
         prog = acc.compile(src, **GEOM)
-        res = prog.run(x=x, mi=np.int32(np.iinfo(np.int32).max),
-                       executor_mode=mode)
+        res = prog.run(RunOptions(executor_mode=mode), x=x,
+                       mi=np.int32(np.iinfo(np.int32).max))
         # -0.0 == 0.0 under the strict compare, so the tie breaks to
         # the smallest index and keeps that element's sign bit
         assert int(res.scalars["mi"]) == 10

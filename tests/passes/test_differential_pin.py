@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import acc
+from repro.acc import RunOptions
 from repro.testsuite.cases import generate_cases
 
 GEOM = dict(num_gangs=4, num_workers=2, vector_length=32)
@@ -34,7 +35,7 @@ def test_minimal_and_optimized_pipelines_bit_identical(case):
     inputs = case.make_inputs(rng)
     progs = {pipe: acc.compile(case.source, **GEOM, pipeline=pipe)
              for pipe in ("minimal", "optimized")}
-    results = {(pipe, mode): prog.run(executor_mode=mode, **inputs)
+    results = {(pipe, mode): prog.run(RunOptions(executor_mode=mode), **inputs)
                for pipe, prog in progs.items()
                for mode in ("reference", "batched", "trace")}
 
@@ -107,7 +108,7 @@ def test_cascade_fusion_on_off_bit_identical(label, src):
     baseline = None
     for pipe, prog in progs.items():
         for mode in ("reference", "batched", "trace"):
-            res = prog.run(x=x, executor_mode=mode, **extra)
+            res = prog.run(RunOptions(executor_mode=mode), x=x, **extra)
             bits = {name: np.asarray(val).tobytes()
                     for name, val in res.scalars.items()}
             bits.update({name: arr.tobytes()

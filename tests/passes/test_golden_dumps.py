@@ -8,6 +8,7 @@ attribution layer renders — which must show the *post*-optimization IR.
 import numpy as np
 
 from repro import acc
+from repro.acc import RunOptions
 from repro.gpu.kernelir import dump_with_sids, walk_stmts
 
 SRC = """
@@ -95,8 +96,8 @@ class TestAnnotateShowsPostOptimizationIR:
         prof = Profiler()
         prog = acc.compile(SRC, **GEOM, pipeline="optimized", profiler=prof)
         assert len(prog.lowered.kernels) == 1  # finish kernel fused away
-        prog.run(a=np.ones(2048, dtype=np.float32), profiler=prof,
-                 attribution=True)
+        prog.run(RunOptions(profiler=prof, attribution=True),
+                 a=np.ones(2048, dtype=np.float32))
         rec = prof.kernels_named("acc_region_main")[0]
         text = annotate_record(rec)
         # the annotated listing renders the post-optimization kernel:

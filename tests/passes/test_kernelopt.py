@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import acc
+from repro.acc import RunOptions
 from repro.gpu import kernelir as K
 from repro.passes.kernelopt import (
     eliminate_barriers, fold_kernel, fuse_finish_kernels,
@@ -142,8 +143,8 @@ class TestFuseFinish:
         a = ((np.arange(4096) % 31) / 7).astype(np.float32)
         base = acc.compile(SRC_FLOAT_GANG, **GEOM, pipeline="minimal")
         fused = acc.compile(SRC_FLOAT_GANG, **GEOM, pipeline="fuse-finish")
-        r0 = base.run(a=a, executor_mode=mode)
-        r1 = fused.run(a=a, executor_mode=mode)
+        r0 = base.run(RunOptions(executor_mode=mode), a=a)
+        r1 = fused.run(RunOptions(executor_mode=mode), a=a)
         assert np.asarray(r0.scalars["total"]).tobytes() == \
             np.asarray(r1.scalars["total"]).tobytes()
 

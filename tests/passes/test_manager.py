@@ -91,10 +91,6 @@ class TestManager:
         # resolve-geometry only computes numbers; the listing is stable
         assert not recs["resolve-geometry"].changed
 
-    def test_options_key_fingerprints_pipeline(self):
-        assert PIPELINES["minimal"].options_key() != \
-            PIPELINES["optimized"].options_key()
-
 
 class TestProgramVisibility:
     def test_strategy_records_pipeline(self):

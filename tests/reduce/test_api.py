@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import reduce as R
+from repro.acc import RunOptions
 from repro.dtypes import DType
 from repro.errors import AnalysisError
 from repro.gpu import kernelir as K
@@ -54,9 +55,9 @@ class TestScalarReduce:
     def test_executor_modes_bit_identical(self, mode):
         x = rng().standard_normal(333).astype(np.float32)
         base = R.reduce(x, "+", **GEOM,
-                        run_kwargs=dict(executor_mode="reference"))
+                        run_options=RunOptions(executor_mode="reference"))
         got = R.reduce(x, "+", **GEOM,
-                       run_kwargs=dict(executor_mode=mode))
+                       run_options=RunOptions(executor_mode=mode))
         assert got.tobytes() == base.tobytes()
 
     def test_dtype_mismatch_rejected(self):
@@ -102,14 +103,14 @@ class TestPairs:
     def test_argmax_matches_numpy(self, mode):
         x = rng().standard_normal(1000).astype(np.float32)
         v, i = R.argmax(x, **GEOM,
-                        run_kwargs=dict(executor_mode=mode))
+                        run_options=RunOptions(executor_mode=mode))
         assert v == x.max() and i == int(np.argmax(x))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_argmin_matches_numpy(self, mode):
         x = rng().standard_normal(1000).astype(np.float32)
         v, i = R.argmin(x, **GEOM,
-                        run_kwargs=dict(executor_mode=mode))
+                        run_options=RunOptions(executor_mode=mode))
         assert v == x.min() and i == int(np.argmin(x))
 
     def test_duplicate_extremum_takes_first_index(self):
@@ -136,8 +137,9 @@ class TestSegmented:
         r = rng()
         vals = r.standard_normal(600).astype(np.float32)
         segs = r.integers(0, 12, 600).astype(np.int32)
-        got = R.segmented_reduce(vals, segs, 12, **GEOM,
-                                 run_kwargs=dict(executor_mode=mode))
+        got = R.segmented_reduce(
+            vals, segs, 12, **GEOM,
+            run_options=RunOptions(executor_mode=mode))
         expect = np.zeros(12, np.float32)
         np.add.at(expect, segs, vals)
         np.testing.assert_allclose(got, expect, rtol=1e-4)

@@ -66,6 +66,51 @@ class TestEndToEnd:
         assert report["metrics"]["counters"]["serve.requests.ok"] == 1
 
 
+class TestRunOpts:
+    def test_unknown_run_opts_key_is_refused_before_dispatch(self):
+        async def go():
+            pool = DevicePool(2)
+            async with Scheduler(pool, ServeConfig()) as sched:
+                res = await sched.submit(_req(
+                    "bad", run_opts={"bogus": 1, "runs": 3},
+                    deadline_s=5.0))
+                return res, pool.snapshot()
+
+        t0 = time.perf_counter()
+        res, devices = _run(go())
+        assert time.perf_counter() - t0 < 2.0  # no deadline wait
+        assert res.status == "error"
+        assert res.error == "ServiceError"
+        assert res.message.startswith("unknown run_opts key(s) ['bogus']")
+        assert res.tries == 0 and res.devices_tried == []
+        for d in devices:  # no device touched, no breaker charged
+            assert d["errors"] == 0 and d["served"] == 0
+
+    def test_scalar_named_like_a_run_option(self):
+        src = """
+int a[n];
+int runs;
+int s = 0;
+#pragma acc parallel copyin(a)
+#pragma acc loop gang vector reduction(+:s)
+for (i = 0; i < n; i++)
+    s += a[i] * runs;
+"""
+
+        async def go():
+            pool = DevicePool(1)
+            async with Scheduler(pool, ServeConfig()) as sched:
+                a = np.arange(64, dtype=np.int32)
+                res = await sched.submit(ComputeRequest(
+                    id="r", source=src, arrays={"a": a},
+                    scalars={"runs": 3}, run_opts={"runs": 3}))
+                return a, res
+
+        a, res = _run(go())
+        assert res.ok, res.message
+        assert res.scalars["s"] == 3 * a.sum()
+
+
 class TestAdmission:
     def test_full_queue_sheds_with_typed_error(self):
         async def go():

@@ -34,9 +34,14 @@ class TestAccSurface:
             assert param in sig.parameters, param
 
     def test_run_accepts_data_region_kwarg(self):
-        sig = inspect.signature(acc.Program.run)
-        assert "data_region" in sig.parameters
-        assert "trace" in sig.parameters
+        # the run policy is one positional-only RunOptions; every keyword
+        # of Program.run is a region binding
+        params = inspect.signature(acc.Program.run).parameters
+        assert params["options"].kind is inspect.Parameter.POSITIONAL_ONLY
+        assert params["bindings"].kind is inspect.Parameter.VAR_KEYWORD
+        opts = inspect.signature(acc.RunOptions).parameters
+        assert "data_region" in opts
+        assert "trace" in opts
 
     def test_profiles_enumerable(self):
         names = set(acc.PROFILES)

@@ -488,7 +488,7 @@ def _compile_stmt(s: K.Stmt, device: DeviceProperties,
             while m.any():
                 env.steps += 1
                 if env.steps > env.watchdog_budget:
-                    _watchdog_trip(env)
+                    _watchdog_trip(env, env.block_index)
                 maw = env.active_warps(m)
                 fbody(env, m, maw)
                 c = _truthy(np.asarray(fc(env)))
@@ -517,7 +517,7 @@ def _compile_stmt(s: K.Stmt, device: DeviceProperties,
             while True:
                 env.steps += 1
                 if env.steps > env.watchdog_budget:
-                    _watchdog_trip(env)
+                    _watchdog_trip(env, env.block_index)
                 c = _truthy(np.asarray(fc(env)))
                 if c.shape != mask.shape:
                     c = np.broadcast_to(c, mask.shape)
@@ -608,10 +608,10 @@ def _compile_stmt(s: K.Stmt, device: DeviceProperties,
     raise SimulationError(f"unknown statement node {s!r}")
 
 
-def _watchdog_trip(env: BlockEnv) -> None:
+def _watchdog_trip(env: BlockEnv, block: int) -> None:
     raise WatchdogTimeoutError(
         f"kernel {env.kernel_name!r} exceeded its watchdog budget of "
-        f"{env.watchdog_budget:g} loop steps in block {env.block_index} "
+        f"{env.watchdog_budget:g} loop steps in block {block} "
         "(infinite or runaway loop)",
         kernel=env.kernel_name, steps=env.steps,
         budget=int(env.watchdog_budget))

@@ -32,6 +32,13 @@ Control-flow accounting parity (each derived from the reference rules):
 * barriers — a barrier under a partially-active block raises
   :class:`~repro.errors.BarrierDivergenceError` exactly as the reference
   path; fully-inactive blocks are skipped (they never reached it).
+
+Sparse regions: once at most half of a chunk's blocks have a lane in a
+branch side or a loop body, that region runs on a copy of the chunk
+sliced to those blocks (:func:`_compact_env`) and its registers scatter
+back afterwards (:func:`_expand_env`).  A last-block epilogue then costs
+one block's width instead of the chunk's.  The slice is invisible to
+every counter: idle blocks touch no memory, counter or register.
 """
 
 from __future__ import annotations
@@ -213,9 +220,8 @@ class BatchedBlockEnv:
         "regs", "tx", "ty", "tid", "bx", "bdx", "bdy", "gdx", "ntid",
         "warp_starts", "nwarps", "warpkey", "block_of", "rows", "block_ids",
         "gmem", "smem", "stats", "params", "block_mask", "trace",
-        "block_index", "seg_cache", "kernel_name", "steps",
-        "watchdog_budget", "stuck", "check", "attr", "warp_size",
-        "affine_ok", "runs_memo",
+        "seg_cache", "kernel_name", "steps", "watchdog_budget", "stuck",
+        "check", "attr", "warp_size", "affine_ok", "runs_memo",
     )
 
     def __init__(self, bdx: int, bdy: int, gdx: int, block_ids: np.ndarray,
@@ -255,7 +261,6 @@ class BatchedBlockEnv:
         self.block_mask = np.ones((nb, n), dtype=bool)
         self.regs: dict[str, np.ndarray] = {}
         self.trace = trace
-        self.block_index = int(block_ids[0])
         self.seg_cache: dict = {}
         self.kernel_name = ""
         self.steps = 0
@@ -304,17 +309,32 @@ def _uniform_runs(env: BatchedBlockEnv, aff):
     return warp_runs(aff, env.warp_size)
 
 
+def _sparse_rows(live: np.ndarray, lc: int) -> np.ndarray | None:
+    """The rows to compact to, or None to stay at full width.
+
+    ``live`` marks the env's rows with an active lane and ``lc`` is its
+    count.  The one compaction rule of every control statement here and
+    in the trace executor's generated code: slice once at most half the
+    rows are live.  So a region handed to a statement is always more
+    than half live rows.
+    """
+    if lc * 2 <= live.shape[0]:
+        return np.flatnonzero(live)
+    return None
+
+
 def _compact_env(env: BatchedBlockEnv, idx: np.ndarray) -> BatchedBlockEnv:
     """Clone ``env`` with the block axis sliced to rows ``idx``.
 
-    Used by the loop statements once most blocks of a chunk have exited:
-    the per-statement NumPy cost then tracks the *live* block count
-    instead of the chunk width.  Shared memory is NOT sliced — ``rows``
-    keeps the original chunk-row index per surviving block, so shared
-    accesses land in the right rows of the full ``(chunk, size)`` arrays.
-    All id-carrying fields (``bx``, ``warpkey``, ``block_of``,
-    ``block_ids``) hold absolute values, so counters, segment-reuse tags
-    and fault RNG substreams are unaffected by the slice.
+    Used by the branch and loop statements once most blocks of a chunk
+    have no active lane in the region (see :func:`_sparse_rows`): the
+    per-statement NumPy cost then tracks the *live* block count instead
+    of the chunk width.  Shared memory is NOT sliced — ``rows`` keeps the
+    original chunk-row index per surviving block, so shared accesses land
+    in the right rows of the full ``(chunk, size)`` arrays.  All
+    id-carrying fields (``bx``, ``warpkey``, ``block_of``, ``block_ids``)
+    hold absolute values, so counters, segment-reuse tags and fault RNG
+    substreams are unaffected by the slice.
     """
     sub = BatchedBlockEnv.__new__(BatchedBlockEnv)
     sub.tid, sub.tx, sub.ty = env.tid, env.tx, env.ty
@@ -332,7 +352,6 @@ def _compact_env(env: BatchedBlockEnv, idx: np.ndarray) -> BatchedBlockEnv:
     sub.block_mask = env.block_mask[idx]
     sub.regs = {name: reg[idx] for name, reg in env.regs.items()}
     sub.trace = env.trace
-    sub.block_index = env.block_index
     sub.seg_cache = env.seg_cache
     sub.kernel_name = env.kernel_name
     sub.steps = env.steps
@@ -349,9 +368,10 @@ def _expand_env(env: BatchedBlockEnv, sub: BatchedBlockEnv,
 
     Rows outside ``idx`` had no active lanes while ``sub`` ran, so their
     register values are untouched — exactly what the reference executor
-    leaves for a block that already exited the loop.  Registers first
-    assigned inside the loop materialize at full width here, zero-filled
-    where never written, matching ``_assign`` on an uncompacted chunk.
+    leaves for a block that skipped the branch or already exited the
+    loop.  Registers first assigned inside the region materialize at
+    full width here, zero-filled where never written, matching
+    ``_assign`` on an uncompacted chunk.
     """
     env.steps = sub.steps
     for name, sreg in sub.regs.items():
@@ -363,6 +383,35 @@ def _expand_env(env: BatchedBlockEnv, sub: BatchedBlockEnv,
             env.regs[name] = base
             full = base
         full[idx] = sreg
+
+
+def _run_branch(fbody, env: BatchedBlockEnv, m: np.ndarray,
+                w: np.ndarray) -> None:
+    """Run one side of a branch under mask ``m``.
+
+    ``w`` is the side's ``(blocks, warps)`` active-warp matrix.  Blocks
+    with no lane on this side are skipped as the reference executor
+    skips them, and sliced away when they are most of the chunk (a
+    last-block epilogue, a ``tid == 0`` handoff).
+    """
+    aw = w.sum(axis=1)
+    live = aw > 0
+    lc = int(np.count_nonzero(live))
+    if not lc:
+        return
+    idx = _sparse_rows(live, lc)
+    if idx is None:
+        fbody(env, m, aw)
+        return
+    sub = _compact_env(env, idx)
+    fbody(sub, m[idx], aw[idx])
+    _expand_env(env, sub, idx)
+
+
+def _loop_trip(env: BatchedBlockEnv, live: np.ndarray) -> None:
+    """Raise the watchdog error naming the lowest block still in the
+    loop (``live`` marks the env's rows that are)."""
+    _watchdog_trip(env, int(env.block_ids[np.argmax(live)]))
 
 
 # --------------------------------------------------------------------------
@@ -612,6 +661,17 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
         def do_if(env, mask, aw, aws):
             env.stats.warp_inst_slots += aws
             c = _truthy(np.asarray(fc(env)))
+            if env.attr is not None:
+                r = env.attr.row(sid)
+                r.execs += int(mask.any(axis=1).sum())
+                r.lanes += int(mask.sum())
+                r.warp_slots += aws
+            if c.all():
+                # every lane takes the then side: it inherits the region
+                # as is (too dense to slice, see _sparse_rows), and no
+                # warp splits since no else-side warp exists
+                fthen(env, mask, aw, aws)
+                return
             if c.shape != mask.shape:
                 c = np.broadcast_to(c, mask.shape)
             m_then = mask & c
@@ -621,15 +681,10 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
             d = int((t & e).sum())
             env.stats.divergent_branches += d
             if env.attr is not None:
-                r = env.attr.row(sid)
-                r.execs += int(mask.any(axis=1).sum())
-                r.lanes += int(mask.sum())
-                r.warp_slots += aws
                 r.divergence_splits += d
-            if m_then.any():
-                fthen(env, m_then, t.sum(axis=1))
-            if felse is not None and m_else.any():
-                felse(env, m_else, e.sum(axis=1))
+            _run_branch(fthen, env, m_then, t)
+            if felse is not None:
+                _run_branch(felse, env, m_else, e)
         return do_if
 
     if isinstance(s, K.While):
@@ -652,16 +707,16 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
             live = m.any(axis=1)
             lc = int(live.sum())
             while lc:
-                if lc * 2 <= m.shape[0]:
+                idx = _sparse_rows(live, lc)
+                if idx is not None:
                     # most blocks have exited (m only ever shrinks):
                     # slice the working set to the live rows
-                    idx = np.flatnonzero(live)
                     stack.append((env, idx))
                     env = _compact_env(env, idx)
                     m = m[idx]
                 env.steps += lc
                 if env.steps > env.watchdog_budget:
-                    _watchdog_trip(env)
+                    _loop_trip(env, m.any(axis=1))
                 maw = _warps_per_block(env, m)
                 maws = int(maw.sum())
                 fbody(env, m, maw, maws)
@@ -705,7 +760,7 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
             while True:
                 env.steps += int(live.sum())
                 if env.steps > env.watchdog_budget:
-                    _watchdog_trip(env)
+                    _loop_trip(env, live)
                 c = _truthy(np.asarray(fc(env)))
                 if c.shape != mask.shape:
                     c = np.broadcast_to(c, mask.shape)
@@ -714,10 +769,10 @@ def _compile_stmt_batched(s: K.Stmt, device: DeviceProperties,
                 lc = int(live.sum())
                 if not lc:
                     break
-                if lc * 2 <= mask.shape[0]:
+                idx = _sparse_rows(live, lc)
+                if idx is not None:
                     # most blocks have left the loop (live only shrinks):
                     # slice the working set to the live rows
-                    idx = np.flatnonzero(live)
                     stack.append((env, idx))
                     env = _compact_env(env, idx)
                     mask, aw, live = mask[idx], aw[idx], live[idx]

@@ -54,8 +54,8 @@ from repro.gpu.executor import (
 )
 from repro.gpu.affine import lane_affine_stmts
 from repro.gpu.executor_batched import (
-    BatchedBlockEnv, _BatchHazard, _compact_env, _expand_env,
-    _warps_per_block, _watchdog_trip, analyze_batch_safety,
+    BatchedBlockEnv, _BatchHazard, _compact_env, _expand_env, _loop_trip,
+    _sparse_rows, _warps_per_block, analyze_batch_safety,
 )
 from repro.gpu.memory import (
     AffineAccess, BatchedSharedMemory, GlobalMemory, finalize_segment_reuse,
@@ -467,8 +467,9 @@ _BASE_GLOBALS = {
     "_gstore": _gstore,
     "_sload": _sload, "_sstore": _sstore, "_shfl": _shfl, "_sync": _sync,
     "_flat": np.flatnonzero,
+    "_sparse_rows": _sparse_rows,
     "_compact_env": _compact_env, "_expand_env": _expand_env,
-    "_warps_per_block": _warps_per_block, "_watchdog_trip": _watchdog_trip,
+    "_warps_per_block": _warps_per_block, "_loop_trip": _loop_trip,
 }
 for _fn_name, _fn in _CALLS.items():
     _BASE_GLOBALS[f"C_{_fn_name}"] = _fn
@@ -850,23 +851,25 @@ class _Emitter:
         The reference executor runs a branch only for blocks whose lanes
         take it; the uncompacted chunk pays full-width array ops for
         every statement regardless.  When at most half the chunk's rows
-        have an active lane, slice the environment down to them with the
-        While-loop compaction machinery — semantically invisible (dead
-        rows touch no memory, no counters, no registers) but it makes
-        sparsely-taken branches (a last-block reduction epilogue, a
-        ``tid == 0`` partial handoff) cost what they cover.  ``guarded``
-        marks regions already emitted under an any-lanes check.
+        have an active lane (``_sparse_rows``, the same rule the
+        batched executor applies to its branches and loops), slice the
+        environment down to them with the While-loop compaction
+        machinery — semantically invisible (dead rows touch no memory,
+        no counters, no registers) but it makes sparsely-taken branches
+        (a last-block reduction epilogue, a ``tid == 0`` partial
+        handoff) cost what they cover.  ``guarded`` marks regions
+        already emitted under an any-lanes check.
         """
-        lv, lc, cp = f"lv{tag}", f"lc{tag}", f"cp{tag}"
+        lv, lc = f"lv{tag}", f"lc{tag}"
         ix, px = f"ix{tag}", f"px{tag}"
         self.w(f"{lv} = {m}.any(axis=1); {lc} = int({lv}.sum())")
         if not guarded:
             self.w(f"if {lc}:")
             self.ind += 1
-        self.w(f"{cp} = {lc} * 2 <= {m}.shape[0]")
-        self.w(f"if {cp}:")
+        self.w(f"{ix} = _sparse_rows({lv}, {lc})")
+        self.w(f"if {ix} is not None:")
         self.ind += 1
-        self.w(f"{ix} = _flat({lv}); {px} = E")
+        self.w(f"{px} = E")
         self.w(f"E = _compact_env(E, {ix})")
         self.w(f"{m} = {m}[{ix}]; {aw} = np.asarray({aw})[{ix}]")
         self.w(f"{f} = bool({m}.all())")
@@ -874,7 +877,7 @@ class _Emitter:
             self.w(line)
         self.ind -= 1
         self.block(stmts, _Region(m, f, aw, aws))
-        self.w(f"if {cp}:")
+        self.w(f"if {ix} is not None:")
         self.ind += 1
         self.w(f"_expand_env({px}, E, {ix}); E = {px}")
         for line in _RECOMPUTE:
@@ -904,9 +907,9 @@ class _Emitter:
         self.w(f"lc{u} = int(lv{u}.sum())")
         self.w(f"while lc{u}:")
         self.ind += 1
-        self.w(f"if lc{u} * 2 <= {mw}.shape[0]:")
+        self.w(f"ix_ = _sparse_rows(lv{u}, lc{u})")
+        self.w("if ix_ is not None:")
         self.ind += 1
-        self.w(f"ix_ = _flat(lv{u})")
         self.w(f"stk{u}.append((E, ix_))")
         self.w("E = _compact_env(E, ix_)")
         self.w(f"{mw} = {mw}[ix_]")
@@ -916,7 +919,7 @@ class _Emitter:
         self.w(f"E.steps += lc{u}")
         self.w("if E.steps > E.watchdog_budget:")
         self.ind += 1
-        self.w("_watchdog_trip(E)")
+        self.w(f"_loop_trip(E, {mw}.any(axis=1))")
         self.ind -= 1
         self.w(f"f{u}b = bool({mw}.all())")
         # a full body mask means every warp of every row is active:
@@ -969,7 +972,7 @@ class _Emitter:
         self.w(f"E.steps += int(lv{u}.sum())")
         self.w("if E.steps > E.watchdog_budget:")
         self.ind += 1
-        self.w("_watchdog_trip(E)")
+        self.w(f"_loop_trip(E, lv{u})")
         self.ind -= 1
         self.w(f"c{u} = _bc(TRU(ASR({cond})), {mw}.shape)")
         self.w(f"lv{u} = lv{u} & ({mw} & c{u}).any(axis=1)")
@@ -978,9 +981,9 @@ class _Emitter:
         self.ind += 1
         self.w("break")
         self.ind -= 1
-        self.w(f"if lc{u} * 2 <= {mw}.shape[0]:")
+        self.w(f"ix_ = _sparse_rows(lv{u}, lc{u})")
+        self.w("if ix_ is not None:")
         self.ind += 1
-        self.w(f"ix_ = _flat(lv{u})")
         self.w(f"stk{u}.append((E, ix_))")
         self.w("E = _compact_env(E, ix_)")
         self.w(f"{mw} = {mw}[ix_]; {aww} = {aww}[ix_]; lv{u} = lv{u}[ix_]")

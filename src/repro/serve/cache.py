@@ -80,7 +80,10 @@ _MAGIC = b"REPROCC1"
 #: v4: generated trace sources pass lane strides to the memory helpers
 #: (closed-form counter accounting); v3 sources call the old helper
 #: signatures and must not be executed.
-PAYLOAD_VERSION = 4
+#: v5: generated trace sources take the compaction rule and the
+#: watchdog trip from ``_sparse_rows``/``_loop_trip``; v4 sources name
+#: helpers the trace globals no longer bind.
+PAYLOAD_VERSION = 5
 
 #: unique-suffix counter for quarantine renames within one process
 _QSEQ = itertools.count()
